@@ -529,16 +529,17 @@ cmake --build build-asan -j "${JOBS}" \
  ./tests/serve_test &&
  ./tests/checkpoint_test)
 
-echo "=== TSAN build + exec/trainer/serving tests ==="
+echo "=== TSAN build + exec/stream/trainer/serving tests ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DO2SR_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
-      --target exec_test parallel_determinism_test fault_tolerance_test \
-               optimizer_test score_cache_stress_test \
+      --target exec_test stream_test parallel_determinism_test \
+               fault_tolerance_test optimizer_test score_cache_stress_test \
                serving_resilience_test fault_injection_test \
                serve_batch_test serve_concurrent_test tenant_test
 (cd build-tsan &&
  O2SR_THREADS=4 ./tests/exec_test &&
+ O2SR_THREADS=4 ./tests/stream_test &&
  O2SR_THREADS=4 ./tests/parallel_determinism_test &&
  O2SR_THREADS=4 ./tests/fault_tolerance_test &&
  O2SR_THREADS=4 ./tests/optimizer_test &&

@@ -12,6 +12,19 @@
 
 namespace o2sr {
 
+// A categorical distribution over fixed weights, normalized once. Drawing
+// from it consumes the engine exactly as Categorical(weights) over the same
+// weights does, so loops that draw many times from one weight vector build
+// the table once instead of renormalizing on every draw.
+using CategoricalTable = std::discrete_distribution<int>::param_type;
+
+// The table of `weights`: non-empty, non-negative, with a positive sum.
+inline CategoricalTable MakeCategoricalTable(
+    const std::vector<double>& weights) {
+  O2SR_CHECK(!weights.empty());
+  return CategoricalTable(weights.begin(), weights.end());
+}
+
 // Deterministic random number generator used throughout the project.
 // Every component that needs randomness takes an Rng (or a seed) so that
 // datasets, model initialization and experiments are fully reproducible.
@@ -58,9 +71,13 @@ class Rng {
   // Samples an index in [0, weights.size()) proportionally to `weights`.
   // All weights must be non-negative, with a positive sum.
   int Categorical(const std::vector<double>& weights) {
-    O2SR_CHECK(!weights.empty());
-    std::discrete_distribution<int> dist(weights.begin(), weights.end());
-    return dist(engine_);
+    return Categorical(MakeCategoricalTable(weights));
+  }
+
+  // Samples an index from a prebuilt table (see CategoricalTable).
+  int Categorical(const CategoricalTable& table) {
+    std::discrete_distribution<int> dist;
+    return dist(engine_, table);
   }
 
   // Fisher-Yates shuffle.

@@ -300,7 +300,9 @@ Session::Session(ThreadPool& pool, const char* trace_name) : pool_(pool) {
   if (pool.session_active_.load(std::memory_order_relaxed)) return;
   pool.session_owner_ = std::this_thread::get_id();
   pool.session_fn_.store(nullptr, std::memory_order_relaxed);
-  pool.session_workers_.store(0, std::memory_order_relaxed);
+  // session_workers_ is deliberately not reset: a straggler of the previous
+  // session may sit between its join increment and its leave decrement, and
+  // zeroing the count under it would leave it at -1 once it leaves.
   pool.session_active_.store(true, std::memory_order_release);
   engaged_ = true;
   pool.work_cv_.notify_all();
@@ -352,6 +354,9 @@ void ThreadPool::WorkerLoop(int lane) {
         SessionWorkerLoop(lane);
         continue;
       }
+      // Woken for a session its owner closed (without the mutex) before
+      // this recheck: there may be no region to join at all.
+      if (region_fn_ == nullptr || region_epoch_ == seen_epoch) continue;
       seen_epoch = region_epoch_;
       fn = region_fn_;
       n = region_n_;

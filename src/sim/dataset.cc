@@ -29,10 +29,10 @@ std::vector<Store> GenerateStores(const SimConfig& config,
   // population density with the type's demographic affinity. This market-
   // equilibrium placement is what makes neighborhood customer preferences
   // strongly predictive of order counts (Table II of the paper).
-  std::vector<std::vector<double>> region_weights_per_type(catalog.size());
+  std::vector<CategoricalTable> region_table_per_type;
+  region_table_per_type.reserve(catalog.size());
+  std::vector<double> w(num_regions);
   for (size_t t = 0; t < catalog.size(); ++t) {
-    auto& w = region_weights_per_type[t];
-    w.resize(num_regions);
     for (int r = 0; r < num_regions; ++r) {
       double affinity = 0.0;
       for (int c = 0; c < geo::kNumPoiCategories; ++c) {
@@ -40,18 +40,20 @@ std::vector<Store> GenerateStores(const SimConfig& config,
       }
       w[r] = city.density[r] * std::pow(0.25 + affinity, 1.5) + 1e-12;
     }
+    region_table_per_type.push_back(MakeCategoricalTable(w));
   }
   std::vector<double> type_weights(catalog.size());
   for (size_t t = 0; t < catalog.size(); ++t) {
     type_weights[t] = catalog[t].popularity;
   }
+  const CategoricalTable type_table = MakeCategoricalTable(type_weights);
   std::vector<Store> stores;
   stores.reserve(config.num_stores);
   for (int i = 0; i < config.num_stores; ++i) {
     Store store;
     store.id = i;
-    store.type = rng.Categorical(type_weights);
-    store.region = rng.Categorical(region_weights_per_type[store.type]);
+    store.type = rng.Categorical(type_table);
+    store.region = rng.Categorical(region_table_per_type[store.type]);
     const int region = store.region;
     const geo::Point base = city.grid.Center(region);
     store.location = {
@@ -84,6 +86,10 @@ Dataset GenerateDataset(const SimConfig& config,
   const int num_regions = data.num_regions();
   const int num_types = data.num_types();
   const CandidateIndex candidates = BuildCandidates(world, 0, num_regions);
+  std::vector<std::vector<CategoricalTable>> type_choice(num_regions);
+  for (int u = 0; u < num_regions; ++u) {
+    type_choice[u] = TypeChoiceTables(world, u);
+  }
 
   // ---- Order generation ---------------------------------------------------
 
@@ -109,8 +115,8 @@ Dataset GenerateDataset(const SimConfig& config,
         if (attempts == 0) continue;
         for (int k = 0; k < attempts; ++k) {
           Order order;
-          if (!SampleOrderAttempt(world, candidates, day, slot, u, rng,
-                                  &order)) {
+          if (!SampleOrderAttempt(world, candidates, type_choice[u][slot],
+                                  day, slot, u, rng, &order)) {
             continue;
           }
           order.order_id = next_order_id++;

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/math_util.h"
+#include "exec/thread_pool.h"
 #include "nn/serialize.h"
 #include "obs/env.h"
 #include "obs/log.h"
@@ -274,28 +275,45 @@ int AutoBlockRegions(const World& world, int mem_budget_mb) {
 
 void GenerateBlockRows(const World& world, const CandidateIndex& candidates,
                        int epoch, ShardColumns* out) {
-  for (int u = candidates.region_begin; u < candidates.region_end; ++u) {
-    Rng rng(ShardSeed(world.config.seed, epoch, u));
-    for (int slot = 0; slot < kSlotsPerDay; ++slot) {
-      const double jitter = rng.Uniform(0.85, 1.15);
-      const int attempts =
-          rng.Poisson(world.expected_demand[slot][u] * jitter);
-      for (int k = 0; k < attempts; ++k) {
-        Order order;
-        if (!SampleOrderAttempt(world, candidates, epoch, slot, u, rng,
-                                &order)) {
-          continue;
+  std::vector<std::vector<SpillRow>> region_rows(candidates.region_end -
+                                                 candidates.region_begin);
+  exec::CurrentPool().ParallelFor(
+      static_cast<int64_t>(region_rows.size()), 1,
+      [&](int64_t i) {
+        const int u = candidates.region_begin + static_cast<int>(i);
+        Rng rng(ShardSeed(world.config.seed, epoch, u));
+        const std::vector<CategoricalTable> type_choice =
+            TypeChoiceTables(world, u);
+        for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+          const double jitter = rng.Uniform(0.85, 1.15);
+          const int attempts =
+              rng.Poisson(world.expected_demand[slot][u] * jitter);
+          for (int k = 0; k < attempts; ++k) {
+            Order order;
+            if (!SampleOrderAttempt(world, candidates, type_choice[slot],
+                                    epoch, slot, u, rng, &order)) {
+              continue;
+            }
+            SpillRow row;
+            row.store_region = static_cast<uint32_t>(order.store_region);
+            row.customer_region =
+                static_cast<uint32_t>(order.customer_region);
+            row.type = static_cast<uint16_t>(order.type);
+            row.slot = static_cast<uint8_t>(slot);
+            row.delivery_minutes = order.delivery_minutes();
+            row.distance_m = order.distance_m;
+            region_rows[i].push_back(row);
+          }
         }
-        SpillRow row;
-        row.store_region = static_cast<uint32_t>(order.store_region);
-        row.customer_region = static_cast<uint32_t>(order.customer_region);
-        row.type = static_cast<uint16_t>(order.type);
-        row.slot = static_cast<uint8_t>(slot);
-        row.delivery_minutes = order.delivery_minutes();
-        row.distance_m = order.distance_m;
-        out->Append(row);
-      }
-    }
+      },
+      "sim.generate_rows");
+  size_t rows = out->rows();
+  for (const std::vector<SpillRow>& buffer : region_rows) {
+    rows += buffer.size();
+  }
+  out->Reserve(rows);
+  for (const std::vector<SpillRow>& buffer : region_rows) {
+    for (const SpillRow& row : buffer) out->Append(row);
   }
 }
 

@@ -72,6 +72,9 @@ int AutoBlockRegions(const World& world, int mem_budget_mb);
 // Draws every order of `epoch` for the candidate block, appending one
 // SpillRow per converted attempt (regions ascending, slots ascending
 // within a region). Deterministic given (config.seed, epoch, region).
+// The regions run as a ParallelFor on exec::CurrentPool(), each into its
+// own buffer; the buffers are appended in region order, so the rows are
+// identical at any lane count.
 void GenerateBlockRows(const World& world, const CandidateIndex& candidates,
                        int epoch, ShardColumns* out);
 

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "exec/thread_pool.h"
 #include "obs/trace.h"
 
 namespace o2sr::sim {
@@ -151,9 +152,10 @@ World BuildWorld(const SimConfig& config, const WorldOverrides& overrides,
   // mostly works; ids are dealt out proportionally to allocation at noon.
   world.courier_pool.assign(num_regions, {});
   {
-    std::vector<double> w = world.courier_alloc[5];  // noon slot
+    const CategoricalTable noon =
+        MakeCategoricalTable(world.courier_alloc[5]);
     for (int k = 0; k < config.num_couriers; ++k) {
-      world.courier_pool[rng.Categorical(w)].push_back(k);
+      world.courier_pool[rng.Categorical(noon)].push_back(k);
     }
   }
 
@@ -170,34 +172,76 @@ Dataset WorldDataset(const World& world) {
 
 CandidateIndex BuildCandidates(const World& world, int region_begin,
                                int region_end) {
+  O2SR_TRACE_SCOPE("sim.build_candidates");
   O2SR_CHECK_LE(0, region_begin);
   O2SR_CHECK_LE(region_begin, region_end);
   O2SR_CHECK_LE(region_end, world.num_regions());
   const double max_scope_m =
       world.config.base_scope_m * world.config.max_scope_factor;
+  const int num_types = world.num_types();
+  const int64_t num_regions = region_end - region_begin;
+  // Calls visit(store, distance) for every store within reach of region
+  // region_begin + i, in ascending store index, so each per-type list
+  // preserves the scan order of the monolithic generator's mixed
+  // per-region list.
+  const auto for_each_in_scope = [&](int64_t i, const auto& visit) {
+    const geo::Point uc = world.city.grid.Center(region_begin + i);
+    for (size_t si = 0; si < world.stores.size(); ++si) {
+      const double d = geo::EuclideanMeters(uc, world.stores[si].location);
+      if (d <= max_scope_m) visit(si, d);
+    }
+  };
+  exec::ThreadPool& pool = exec::CurrentPool();
+
+  std::vector<size_t> counts(num_regions * num_types, 0);
+  pool.ParallelFor(
+      num_regions, 1,
+      [&](int64_t i) {
+        size_t* by_type = &counts[i * num_types];
+        for_each_in_scope(i, [&](size_t si, double) {
+          ++by_type[world.stores[si].type];
+        });
+      },
+      nullptr, "sim.count_candidates");
+
   CandidateIndex index;
   index.region_begin = region_begin;
   index.region_end = region_end;
-  index.by_region_type.resize(region_end - region_begin);
-  for (int u = region_begin; u < region_end; ++u) {
-    auto& by_type = index.by_region_type[u - region_begin];
-    by_type.resize(world.num_types());
-    const geo::Point uc = world.city.grid.Center(u);
-    // Ascending store index, so each per-type list preserves the scan
-    // order of the monolithic generator's mixed per-region list.
-    for (size_t si = 0; si < world.stores.size(); ++si) {
-      const double d = geo::EuclideanMeters(uc, world.stores[si].location);
-      if (d <= max_scope_m) {
-        by_type[world.stores[si].type].push_back({static_cast<int>(si), d});
-      }
+  index.by_region_type.resize(num_regions);
+  for (int64_t i = 0; i < num_regions; ++i) {
+    auto& by_type = index.by_region_type[i];
+    by_type.resize(num_types);
+    for (int t = 0; t < num_types; ++t) {
+      by_type[t].reserve(counts[i * num_types + t]);
     }
   }
+
+  // Every list already has its exact capacity: the fill allocates nothing.
+  pool.ParallelFor(
+      num_regions, 1,
+      [&](int64_t i) {
+        auto& by_type = index.by_region_type[i];
+        for_each_in_scope(i, [&](size_t si, double d) {
+          by_type[world.stores[si].type].push_back({static_cast<int>(si), d});
+        });
+      },
+      nullptr, "sim.fill_candidates");
   return index;
 }
 
+std::vector<CategoricalTable> TypeChoiceTables(const World& world,
+                                               int region) {
+  std::vector<CategoricalTable> tables;
+  tables.reserve(kSlotsPerDay);
+  for (const std::vector<double>& weights : world.type_weights[region]) {
+    tables.push_back(MakeCategoricalTable(weights));
+  }
+  return tables;
+}
+
 bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
-                        int day, int slot, int region, Rng& rng,
-                        Order* order) {
+                        const CategoricalTable& type_choice, int day,
+                        int slot, int region, Rng& rng, Order* order) {
   const SimConfig& config = world.config;
   const bool open_data = config.preset == SimulationPreset::kOpenData;
   const double keep_prob = open_data ? 0.45 : 1.0;
@@ -207,7 +251,7 @@ bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
   O2SR_CHECK_LT(u, index.region_end);
 
   // 1. Customer picks a cuisine type by regional preference.
-  const int type = rng.Categorical(world.type_weights[u][slot]);
+  const int type = rng.Categorical(type_choice);
 
   // 2. Candidate stores of the type within the store's current delivery
   //    scope; preference decays with distance and expected delivery time.

@@ -67,15 +67,26 @@ struct CandidateIndex {
   // by_region_type[u - region_begin][t]
   std::vector<std::vector<std::vector<TypedCandidate>>> by_region_type;
 };
+// Runs as two parallel passes over the regions on exec::CurrentPool():
+// count the candidates of every (region, type), allocate every list at its
+// exact size on the calling thread, then fill. Lists grown by the workers
+// would land in their glibc arenas and raise peak RSS (DESIGN.md §8).
 CandidateIndex BuildCandidates(const World& world, int region_begin,
                                int region_end);
 
+// The customer type-choice tables of `region`, one per slot, over
+// world.type_weights[region]. The generators build them per region rather
+// than World holding all of them (~24 MB at a quarter of paper scale).
+std::vector<CategoricalTable> TypeChoiceTables(const World& world, int region);
+
 // Draws one customer order attempt in `region` at (day, slot), consuming
-// `rng` exactly as the monolithic generator's attempt body does. Returns
-// true and fills `order` (order_id left 0 for the caller to assign) when
-// the attempt converts; false when the customer walks away.
+// `rng` exactly as the monolithic generator's attempt body does.
+// `type_choice` is TypeChoiceTables(world, region)[slot]. Returns true and
+// fills `order` (order_id left 0 for the caller to assign) when the attempt
+// converts; false when the customer walks away.
 bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
-                        int day, int slot, int region, Rng& rng, Order* order);
+                        const CategoricalTable& type_choice, int day,
+                        int slot, int region, Rng& rng, Order* order);
 
 // The paper's workload: ~39.5k stores in a 32 km x 32 km city (4096
 // regions), 122 store types, one month of orders (>= 23.6M). Only the

@@ -145,6 +145,25 @@ TEST(PoolScopeTest, OverridesAndRestoresCurrentPool) {
   EXPECT_EQ(&CurrentPool(), &global);
 }
 
+// Many short Sessions back to back, each running one region. Two windows
+// between one session's close and the next one's open used to break the
+// pool: a worker woken for a session that closed before its recheck ran a
+// region that did not exist (segfault), and a straggler of the previous
+// session was zeroed out of the worker count by the next open, so the
+// count went negative and the owner's drain spun forever (hang).
+TEST(SessionTest, ManyShortSessionsNeitherCrashNorHang) {
+  ThreadPool pool(4, "exec.test_sessions");
+  constexpr int kSessions = 20000;
+  constexpr int64_t kChunks = 8;
+  std::vector<int64_t> visits(kChunks, 0);
+  for (int s = 0; s < kSessions; ++s) {
+    Session session(pool, nullptr);
+    ASSERT_TRUE(session.engaged());
+    pool.ParallelFor(kChunks, 1, [&](int64_t i) { ++visits[i]; });
+  }
+  for (int64_t v : visits) EXPECT_EQ(v, kSessions);
+}
+
 TEST(ThreadPoolMetricsTest, CountsRegionsAndTasks) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   ThreadPool pool(2, "exec.test_metrics");

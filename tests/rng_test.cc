@@ -78,11 +78,36 @@ TEST(RngTest, PoissonZeroMeanIsZero) {
 TEST(RngTest, CategoricalFollowsWeights) {
   Rng rng(7);
   std::vector<int> counts(3, 0);
+  const std::vector<double> weights = {1.0, 2.0, 7.0};
   const int n = 30000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Categorical({1.0, 2.0, 7.0})];
+  for (int i = 0; i < n; ++i) ++counts[rng.Categorical(weights)];
   EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.02);
   EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.2, 0.02);
   EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.7, 0.02);
+}
+
+// A prebuilt table is a cache, not a different sampler: the same draws and
+// the same engine state afterwards as building the distribution per draw,
+// including weight vectors with zeros (never drawn) and a single weight.
+TEST(RngTest, CategoricalTableMatchesPerDrawWeights) {
+  Rng gen(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> weights(gen.UniformInt(1, 40));
+    for (double& w : weights) {
+      w = gen.Bernoulli(0.3) ? 0.0 : gen.Uniform(0.0, 5.0);
+    }
+    weights[gen.UniformInt(0, static_cast<int>(weights.size()) - 1)] = 1.0;
+    const CategoricalTable table = MakeCategoricalTable(weights);
+    Rng per_draw(1000 + trial);
+    Rng cached(1000 + trial);
+    for (int i = 0; i < 50; ++i) {
+      const int want = per_draw.Categorical(weights);
+      const int got = cached.Categorical(table);
+      ASSERT_EQ(want, got) << "trial " << trial << " draw " << i;
+      ASSERT_GT(weights[got], 0.0);
+    }
+    EXPECT_EQ(per_draw.SaveState(), cached.SaveState()) << "trial " << trial;
+  }
 }
 
 TEST(RngTest, BernoulliProbability) {

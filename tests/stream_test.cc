@@ -4,12 +4,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "common/status.h"
+#include "exec/thread_pool.h"
 #include "features/order_stats.h"
 #include "features/stream_aggregate.h"
 #include "graphs/hetero_graph.h"
@@ -463,6 +466,82 @@ TEST(StreamGraphTest, GraphsFromStreamedAggregatesMatchCollectedRows) {
   EXPECT_GT(hetero.num_store_nodes(), 0);
   EXPECT_GT(mobility.TotalEdges(), 0u);
   EXPECT_EQ(hetero.num_types(), world_data.num_types());
+}
+
+// Generation is a ParallelFor over each block's regions. Every region
+// draws from its own stream into its own buffer and the buffers are
+// appended in region order, so the shards and the manifest are byte for
+// byte those of the serial generator at any lane count. The payload FNVs
+// are pinned to the serial generator's output.
+TEST(StreamParallelTest, ShardsAreByteIdenticalAtAnyLaneCount) {
+  const SimConfig config = TinyConfig();
+  const std::vector<uint64_t> kPinnedPayloadFnvs = {
+      0xe8c971aa4573e571ULL, 0x7e18691f14948634ULL, 0x6f4b7f93d89f0366ULL,
+      0x7ea376e7fc33bfebULL, 0x564392dfb8e02ae0ULL, 0xaf3a0cdf54827e48ULL};
+  std::vector<std::string> dirs;
+  for (const int lanes : {1, 2, 8}) {
+    exec::ThreadPool pool(lanes, "exec.test_stream");
+    exec::PoolScope scope(&pool);
+    dirs.push_back(FreshDir(("stream_lanes" + std::to_string(lanes)).c_str()));
+    const auto result = StreamGenerate(config, Opts(dirs.back(), 8));
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->shards_written, 6);
+
+    const auto manifest = ReadManifest(dirs.back() + "/" + kManifestFileName);
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    std::vector<uint64_t> fnvs;
+    for (const ManifestEntry& e : manifest->entries) {
+      fnvs.push_back(e.info.payload_fnv);
+    }
+    EXPECT_EQ(fnvs, kPinnedPayloadFnvs) << lanes << " lanes";
+  }
+  for (size_t d = 1; d < dirs.size(); ++d) {
+    for (int block = 0; block < 2; ++block) {
+      for (int epoch = 0; epoch < config.num_days; ++epoch) {
+        const std::string name = ShardFileName(block, epoch);
+        EXPECT_EQ(ReadFileBytes(dirs[d] + "/" + name),
+                  ReadFileBytes(dirs[0] + "/" + name))
+            << name;
+      }
+    }
+    EXPECT_EQ(ReadFileBytes(dirs[d] + "/" + kManifestFileName),
+              ReadFileBytes(dirs[0] + "/" + kManifestFileName));
+  }
+}
+
+// The candidate index is counted, allocated and filled in parallel; its
+// contents must not depend on the lane count.
+TEST(StreamParallelTest, CandidatesAreIdenticalAtAnyLaneCount) {
+  Rng rng(TinyConfig().seed);
+  const World world = BuildWorld(TinyConfig(), WorldOverrides(), rng);
+  const auto build = [&](int lanes, int begin, int end) {
+    exec::ThreadPool pool(lanes, "exec.test_stream");
+    exec::PoolScope scope(&pool);
+    return BuildCandidates(world, begin, end);
+  };
+  for (const auto& [begin, end] : {std::pair{0, world.num_regions()},
+                                   std::pair{3, 11}}) {
+    const CandidateIndex serial = build(1, begin, end);
+    const CandidateIndex parallel = build(4, begin, end);
+    EXPECT_EQ(parallel.region_begin, serial.region_begin);
+    EXPECT_EQ(parallel.region_end, serial.region_end);
+    ASSERT_EQ(parallel.by_region_type.size(), serial.by_region_type.size());
+    size_t candidates = 0;
+    for (size_t i = 0; i < serial.by_region_type.size(); ++i) {
+      const auto& want = serial.by_region_type[i];
+      const auto& got = parallel.by_region_type[i];
+      ASSERT_EQ(got.size(), want.size()) << "region " << begin + i;
+      for (size_t t = 0; t < want.size(); ++t) {
+        ASSERT_EQ(got[t].size(), want[t].size()) << begin + i << "/" << t;
+        for (size_t c = 0; c < want[t].size(); ++c) {
+          EXPECT_EQ(got[t][c].store_index, want[t][c].store_index);
+          EXPECT_EQ(got[t][c].distance_m, want[t][c].distance_m);
+        }
+        candidates += want[t].size();
+      }
+    }
+    EXPECT_GT(candidates, 0u);
+  }
 }
 
 TEST(StreamSeedTest, ShardSeedsAreDistinctAcrossEpochAndRegion) {
