@@ -512,14 +512,17 @@ print(f"paper-scale gate: {vals['stores']:.0f} stores, "
 EOF
 rm -rf "${SCALE_DIR}"
 
-echo "=== ASan build + pipeline/fault/serving tests ==="
+echo "=== ASan build + pipeline/fault/serving/shard-parser tests ==="
 # The crash-resume and fault-injection paths shuffle buffers, snapshots and
-# journals across retries; ASan keeps that churn honest.
+# journals across retries; ASan keeps that churn honest. spill_test and
+# stream_test drive the on-disk shard and manifest parsers with corrupted,
+# truncated and foreign bytes.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DO2SR_SANITIZE=address >/dev/null
 cmake --build build-asan -j "${JOBS}" \
       --target pipeline_test retry_test drift_test fault_injection_test \
-               serving_resilience_test serve_test checkpoint_test
+               serving_resilience_test serve_test checkpoint_test \
+               spill_test stream_test
 (cd build-asan &&
  ./tests/pipeline_test &&
  ./tests/retry_test &&
@@ -527,7 +530,9 @@ cmake --build build-asan -j "${JOBS}" \
  ./tests/fault_injection_test &&
  ./tests/serving_resilience_test &&
  ./tests/serve_test &&
- ./tests/checkpoint_test)
+ ./tests/checkpoint_test &&
+ ./tests/spill_test &&
+ ./tests/stream_test)
 
 echo "=== TSAN build + exec/stream/trainer/serving tests ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

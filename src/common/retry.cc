@@ -5,16 +5,11 @@
 #include <cmath>
 #include <thread>
 
+#include "common/rng.h"
+
 namespace o2sr::common {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashOp(const std::string& op) {
   uint64_t h = 14695981039346656037ull;

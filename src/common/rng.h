@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
@@ -11,6 +12,16 @@
 #include "common/check.h"
 
 namespace o2sr {
+
+// SplitMix64 finalizer: a stateless, statistically solid 64-bit mix. The
+// one definition behind every derived stream: the simulator's per-(epoch,
+// region) seeds and the fault-injection and retry-jitter decisions.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 // A categorical distribution over fixed weights, normalized once. Drawing
 // from it consumes the engine exactly as Categorical(weights) over the same
@@ -51,9 +62,15 @@ class Rng {
     return dist(engine_);
   }
 
-  // Poisson sample; `mean` must be non-negative.
+  // Poisson sample; `mean` must be non-negative. Safe to call from
+  // concurrent threads on distinct Rngs: libstdc++ samples means >= 12
+  // through std::lgamma, which writes the process-global `signgam`, so
+  // those draws take a process-wide lock (the draws themselves are
+  // unchanged).
   int Poisson(double mean) {
     if (mean <= 0.0) return 0;
+    std::unique_lock<std::mutex> lock(LgammaMutex(), std::defer_lock);
+    if (mean >= 12.0) lock.lock();
     std::poisson_distribution<int> dist(mean);
     return dist(engine_);
   }
@@ -113,6 +130,11 @@ class Rng {
   }
 
  private:
+  static std::mutex& LgammaMutex() {
+    static std::mutex mutex;
+    return mutex;
+  }
+
   std::mt19937_64 engine_;
 };
 

@@ -122,7 +122,7 @@ class StatusOr {
 
 // Propagates a non-OK Status to the caller.
 //
-//   O2SR_RETURN_IF_ERROR(ReadStoresCsv(path, frame, grid, &stores));
+//   O2SR_RETURN_IF_ERROR(WriteManifest(path, manifest));
 #define O2SR_RETURN_IF_ERROR(expr)                      \
   do {                                                  \
     ::o2sr::common::Status o2sr_status_tmp_ = (expr);   \

@@ -5,23 +5,12 @@
 
 namespace o2sr::geo {
 
-// WGS-84 coordinate. Orders in the (synthetic) platform data carry lat/lng,
-// mirroring Table I of the paper.
-struct LatLng {
-  double lat = 0.0;
-  double lng = 0.0;
-};
-
 // Planar point in meters, relative to the city's south-west corner. The
-// simulator and all graph computations work in this frame; LatLng is only
-// used at the data-record boundary.
+// simulator and all graph computations work in this frame.
 struct Point {
   double x = 0.0;  // east, meters
   double y = 0.0;  // north, meters
 };
-
-// Great-circle distance in meters.
-double HaversineMeters(const LatLng& a, const LatLng& b);
 
 // Euclidean distance in meters.
 inline double EuclideanMeters(const Point& a, const Point& b) {
@@ -29,22 +18,6 @@ inline double EuclideanMeters(const Point& a, const Point& b) {
   const double dy = a.y - b.y;
   return std::sqrt(dx * dx + dy * dy);
 }
-
-// Anchors a planar city frame at a reference LatLng (e.g. Shanghai's
-// south-west corner) and converts between frames using a local equirect-
-// angular approximation, which is accurate to <0.1% at city scale.
-class CityFrame {
- public:
-  explicit CityFrame(LatLng origin = {31.10, 121.30}) : origin_(origin) {}
-
-  LatLng ToLatLng(const Point& p) const;
-  Point ToPoint(const LatLng& ll) const;
-
-  const LatLng& origin() const { return origin_; }
-
- private:
-  LatLng origin_;
-};
 
 }  // namespace o2sr::geo
 

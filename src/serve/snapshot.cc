@@ -10,29 +10,7 @@
 namespace o2sr::serve {
 
 uint64_t FingerprintOf(const sim::SimConfig& c) {
-  Fingerprint f;
-  f.Add(c.city_width_m)
-      .Add(c.city_height_m)
-      .Add(c.cell_m)
-      .Add<int32_t>(c.num_store_types)
-      .Add<int32_t>(c.num_stores)
-      .Add<int32_t>(c.num_couriers)
-      .Add<int32_t>(c.num_days)
-      .Add(c.peak_orders_per_region_slot)
-      .Add(c.courier_speed_m_per_min)
-      .Add(c.food_prep_minutes)
-      .Add(c.queue_minutes_per_load)
-      .Add(c.base_scope_m)
-      .Add(c.min_scope_factor)
-      .Add(c.max_scope_factor)
-      .Add(c.tolerance_minutes)
-      .Add(c.tolerance_softness)
-      .Add(c.demographic_preference_weight)
-      .Add(c.taste_noise_sigma)
-      .Add<int32_t>(static_cast<int32_t>(c.preset))
-      .Add<uint8_t>(c.generate_trajectories ? 1 : 0)
-      .Add(c.seed);
-  return f.hash();
+  return sim::SimConfigHash(c);
 }
 
 uint64_t FingerprintOf(const core::O2SiteRecConfig& c) {

@@ -86,7 +86,8 @@ class Fingerprint {
 };
 
 // Field-by-field fingerprints (structs are hashed per field, never by
-// memcpy of the whole struct — padding bytes are indeterminate).
+// memcpy of the whole struct — padding bytes are indeterminate). The
+// SimConfig one is sim::SimConfigHash, the spill manifest's fingerprint.
 uint64_t FingerprintOf(const sim::SimConfig& config);
 uint64_t FingerprintOf(const core::O2SiteRecConfig& config);
 uint64_t FingerprintOf(const baselines::BaselineConfig& config);

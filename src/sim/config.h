@@ -66,13 +66,13 @@ struct SimConfig {
   // Preset-dependent noise.
   SimulationPreset preset = SimulationPreset::kSyntheticEleme;
 
-  // Whether to synthesize courier GPS trajectories (20 s samples) for each
-  // order. Off by default: downstream models only need region-pair delivery
-  // times, which order records already carry.
-  bool generate_trajectories = false;
-
   uint64_t seed = 42;
 };
+
+// FNV-1a fingerprint of every SimConfig field, in declaration order: a
+// spill manifest and a serving snapshot each match only the config whose
+// fields are bit-identical to the one that produced them.
+uint64_t SimConfigHash(const SimConfig& config);
 
 }  // namespace o2sr::sim
 

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "exec/thread_pool.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,86 +76,44 @@ Dataset GenerateDataset(const SimConfig& config,
                         const WorldOverrides& overrides) {
   O2SR_TRACE_SCOPE("sim.generate_dataset");
   Rng rng(config.seed);
-  // The static world (city, stores, preference/courier tables) and the
-  // per-attempt order sampler live in sim/world.h, shared with the
-  // streaming out-of-core generator (sim/stream.h). BuildWorld and
-  // SampleOrderAttempt consume `rng` in exactly the order the monolithic
-  // generator did, so this function is bit-identical to its pre-split
-  // self.
   const World world = BuildWorld(config, overrides, rng);
   Dataset data = WorldDataset(world);
   const int num_regions = data.num_regions();
-  const int num_types = data.num_types();
   const CandidateIndex candidates = BuildCandidates(world, 0, num_regions);
-  std::vector<std::vector<CategoricalTable>> type_choice(num_regions);
-  for (int u = 0; u < num_regions; ++u) {
-    type_choice[u] = TypeChoiceTables(world, u);
-  }
 
-  // ---- Order generation ---------------------------------------------------
-
-  // Covers the day/slot demand loop and the courier dispatch inside it.
-  O2SR_TRACE_SCOPE("sim.orders");
+  // The scope factor applied where a region-slot drew any attempt, summed
+  // per period on the calling thread.
   data.scope_factor_per_period.assign(kNumPeriods, 0.0);
   std::vector<int> scope_samples(kNumPeriods, 0);
-
-  int next_order_id = 0;
-  for (int day = 0; day < config.num_days; ++day) {
-    for (int slot = 0; slot < kSlotsPerDay; ++slot) {
-      const Period period = PeriodOfSlot(slot);
-      SlotStats stats;
-      stats.day = day;
-      stats.slot = slot;
-      stats.active_couriers = std::max(
-          1, rng.Poisson(config.num_couriers * SupplySlotProfile()[slot]));
-      double delivery_minutes_sum = 0.0;
-
-      for (int u = 0; u < num_regions; ++u) {
-        const int attempts = rng.Poisson(world.expected_demand[slot][u] *
-                                         rng.Uniform(0.85, 1.15));
-        if (attempts == 0) continue;
-        for (int k = 0; k < attempts; ++k) {
-          Order order;
-          if (!SampleOrderAttempt(world, candidates, type_choice[u][slot],
-                                  day, slot, u, rng, &order)) {
-            continue;
-          }
-          order.order_id = next_order_id++;
-          delivery_minutes_sum += order.delivery_minutes();
-          ++stats.orders;
-          data.orders.push_back(order);
-
-          if (config.generate_trajectories) {
-            const Order& o = data.orders.back();
-            Trajectory traj;
-            traj.courier_id = o.courier_id;
-            traj.order_id = o.order_id;
-            const double leg_min = o.delivery_min - o.pickup_min;
-            const int samples =
-                std::max(2, static_cast<int>(leg_min * 60.0 / 20.0));
-            for (int sidx = 0; sidx < samples; ++sidx) {
-              const double f = sidx / static_cast<double>(samples - 1);
-              TrajectoryPoint tp;
-              tp.time_min = o.pickup_min + f * leg_min;
-              tp.location = {
-                  o.store_location.x +
-                      f * (o.customer_location.x - o.store_location.x),
-                  o.store_location.y +
-                      f * (o.customer_location.y - o.store_location.y)};
-              traj.points.push_back(tp);
-            }
-            data.trajectories.push_back(std::move(traj));
-          }
-        }
-        // Record the applied scope factor for this region/period (averaged
-        // later).
-        data.scope_factor_per_period[static_cast<int>(period)] +=
-            world.scope_factor(slot, u);
-        ++scope_samples[static_cast<int>(period)];
+  {
+    // The out-of-core generator's per-(day, region) draws, collected: one
+    // ParallelFor per day, each region into its own buffer, the buffers
+    // appended in region order.
+    O2SR_TRACE_SCOPE("sim.orders");
+    std::vector<std::vector<Order>> region_orders(num_regions);
+    std::vector<uint32_t> slots_with_attempts(num_regions);
+    for (int day = 0; day < config.num_days; ++day) {
+      exec::CurrentPool().ParallelFor(
+          num_regions, 1,
+          [&](int64_t u) {
+            std::vector<Order>& orders = region_orders[u];
+            orders.clear();
+            slots_with_attempts[u] = DrawRegionDay(
+                world, candidates, day, static_cast<int>(u),
+                [&orders](const Order& o) { orders.push_back(o); });
+          },
+          "sim.generate_orders");
+      for (const std::vector<Order>& orders : region_orders) {
+        data.orders.insert(data.orders.end(), orders.begin(), orders.end());
       }
-      stats.mean_delivery_minutes =
-          stats.orders > 0 ? delivery_minutes_sum / stats.orders : 0.0;
-      data.slot_stats.push_back(stats);
+      for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+        const int period = static_cast<int>(PeriodOfSlot(slot));
+        for (int u = 0; u < num_regions; ++u) {
+          if ((slots_with_attempts[u] >> slot & 1u) == 0) continue;
+          data.scope_factor_per_period[period] += world.scope_factor(slot, u);
+          ++scope_samples[period];
+        }
+      }
     }
   }
   for (int p = 0; p < kNumPeriods; ++p) {
@@ -162,12 +121,36 @@ Dataset GenerateDataset(const SimConfig& config,
       data.scope_factor_per_period[p] /= scope_samples[p];
     }
   }
+
+  data.slot_stats.resize(config.num_days * kSlotsPerDay);
+  std::vector<double> delivery_minutes_sum(data.slot_stats.size(), 0.0);
+  for (size_t i = 0; i < data.orders.size(); ++i) {
+    Order& order = data.orders[i];
+    order.order_id = static_cast<int>(i);
+    const int cell = order.day * kSlotsPerDay + order.slot;
+    ++data.slot_stats[cell].orders;
+    delivery_minutes_sum[cell] += order.delivery_minutes();
+  }
+  for (int day = 0; day < config.num_days; ++day) {
+    for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+      const int cell = day * kSlotsPerDay + slot;
+      SlotStats& stats = data.slot_stats[cell];
+      stats.day = day;
+      stats.slot = slot;
+      // Drawn from the world stream BuildWorld left behind.
+      stats.active_couriers = std::max(
+          1, rng.Poisson(config.num_couriers * SupplySlotProfile()[slot]));
+      stats.mean_delivery_minutes =
+          stats.orders > 0 ? delivery_minutes_sum[cell] / stats.orders : 0.0;
+    }
+  }
+
   static obs::Counter* orders_counter =
       obs::MetricsRegistry::Global().GetCounter("sim.orders_generated");
   orders_counter->Increment(data.orders.size());
   O2SR_LOG(DEBUG) << "simulated " << data.orders.size() << " orders across "
                   << num_regions << " regions (" << data.stores.size()
-                  << " stores, " << num_types << " types)";
+                  << " stores, " << data.num_types() << " types)";
   return data;
 }
 

@@ -1,6 +1,8 @@
 #ifndef O2SR_SIM_DATASET_H_
 #define O2SR_SIM_DATASET_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,17 +48,6 @@ struct Order {
   double delivery_minutes() const { return delivery_min - creation_min; }
 };
 
-// A courier GPS trajectory (one delivery leg), 20-second samples.
-struct TrajectoryPoint {
-  double time_min = 0.0;
-  geo::Point location;
-};
-struct Trajectory {
-  int courier_id = 0;
-  int order_id = 0;
-  std::vector<TrajectoryPoint> points;
-};
-
 // Per-slot operational statistics the motivation figures need.
 struct SlotStats {
   int day = 0;
@@ -73,11 +64,14 @@ struct Dataset {
   CityModel city;
   std::vector<StoreType> type_catalog;
   std::vector<Store> stores;
+  // In canonical (day, region, slot, attempt) order, the order in which
+  // sim::DatasetReader streams the same config's shards back.
   std::vector<Order> orders;
-  std::vector<Trajectory> trajectories;  // only if config.generate_trajectories
+  // One per (day, slot), day-major.
   std::vector<SlotStats> slot_stats;
-  // Delivery-scope radius factor actually applied per period (pressure
-  // control), recorded for Fig. 3 style analyses.
+  // Delivery-scope radius factor the platform applies per period (pressure
+  // control), averaged over the (day, slot, region) cells that drew at
+  // least one order attempt; recorded for Fig. 3 style analyses.
   std::vector<double> scope_factor_per_period;
   // Courier allocation (fractional couriers on duty) per 2-hour slot and
   // region: courier_alloc_slot_region[slot][region]. Constant across days.
@@ -91,7 +85,10 @@ struct Dataset {
 };
 
 // Runs the full simulation: city -> stores -> courier/order dynamics.
-// Deterministic for a given config (seed included).
+// The orders are those sim::StreamGenerate spills for the same config
+// (both call DrawRegionDay, sim/world.h), collected in RAM; the regions of
+// a day run as a ParallelFor on exec::CurrentPool(). Deterministic for a
+// given config (seed included) and bit-identical at any lane count.
 Dataset GenerateDataset(const SimConfig& config);
 
 // The built-in city-wide demand activity per 2-hour slot (mean ~1, noon and
@@ -100,9 +97,9 @@ Dataset GenerateDataset(const SimConfig& config);
 const std::vector<double>& DefaultDemandSlotProfile();
 
 // Drift seam: pieces of the world a scenario may replace while everything
-// else (city, catalog, courier dynamics, RNG stream) stays exactly as
-// GenerateDataset would produce it. Empty/default members mean "no
-// override", so a default-constructed WorldOverrides reproduces
+// else (city, catalog, courier dynamics, the world's RNG stream) stays
+// exactly as GenerateDataset would produce it. Empty/default members mean
+// "no override", so a default-constructed WorldOverrides reproduces
 // GenerateDataset(config) bit-for-bit.
 struct WorldOverrides {
   // Replaces the generated store set. Ids must be contiguous 0..n-1 (order
@@ -114,6 +111,9 @@ struct WorldOverrides {
   // Per-type multiplier on StoreType::popularity in the customers'
   // type-choice weights; size num_store_types when non-empty.
   std::vector<double> type_popularity_scale;
+  // Replaces config.seed as the base seed of the per-(day, region) order
+  // streams (World::order_seed), so a drift epoch draws its own orders.
+  std::optional<uint64_t> order_seed;
 };
 
 Dataset GenerateDataset(const SimConfig& config,

@@ -127,6 +127,8 @@ Dataset GenerateDriftedDataset(const SimConfig& base,
   overrides.demand_slot_profile =
       ShiftSlotProfile(DefaultDemandSlotProfile(), total_shift);
   overrides.type_popularity_scale = scale;
+  // Epoch 0 draws from config.seed; every later epoch from its own streams.
+  overrides.order_seed = EpochSeed(drift, epoch);
 
   st.num_stores = static_cast<int>(overrides.stores.size());
   st.demand_shift_slots = total_shift;

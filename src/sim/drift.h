@@ -59,8 +59,9 @@ std::vector<double> ShiftSlotProfile(const std::vector<double>& profile,
 // The world `epoch` drift steps after `base`. Epoch 0 returns
 // GenerateDataset(base) exactly; epoch k replays k evolution steps (each
 // deterministic under drift.seed) and regenerates the dataset with the
-// evolved store set, popularity walk and shifted demand profile. `stats`
-// may be null.
+// evolved store set, popularity walk and shifted demand profile, drawing
+// its orders from the epoch's own per-(day, region) streams. `stats` may be
+// null.
 Dataset GenerateDriftedDataset(const SimConfig& base,
                                const DriftConfig& drift, int epoch,
                                DriftStats* stats = nullptr);

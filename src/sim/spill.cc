@@ -196,10 +196,9 @@ common::Status ParseShard(const std::string& bytes, const std::string& origin,
         return Corrupt(origin, "row " + std::to_string(i) +
                                    " store_region out of range");
       }
-      if (customer < info->region_begin || customer >= info->region_end) {
+      if (customer >= info->num_regions) {
         return Corrupt(origin, "row " + std::to_string(i) +
-                                   " customer_region outside the shard's "
-                                   "region block");
+                                   " customer_region out of range");
       }
       if (slot >= kSlotsPerDay) {
         return Corrupt(origin,

@@ -31,9 +31,12 @@ namespace o2sr::sim {
 // rejected at adoption time rather than fed to aggregation. ParseShard
 // additionally bounds-checks every row (store/customer region, slot)
 // against the header's own grid — checksums prove the bytes are the ones
-// written, the bounds prove they are safe to index with. Shards publish
-// atomically (temp + rename) and carry the `dataset.write` /
-// `dataset.read` fault sites of the O2SR_FAULTS grammar.
+// written, the bounds prove they are safe to index with. Both regions are
+// bounded by the grid, not the shard's block: a row belongs to the block
+// of the region it was drawn in, and the open-data preset displaces its
+// customer into a neighboring region, possibly across the block edge.
+// Shards publish atomically (temp + rename) and carry the `dataset.write`
+// / `dataset.read` fault sites of the O2SR_FAULTS grammar.
 //
 // Rows hold exactly what region-level aggregation (features::OrderStats)
 // consumes — delivery times are stored as f64 so streamed aggregates are
@@ -93,8 +96,7 @@ std::string SerializeShard(const ShardColumns& columns, ShardInfo* info);
 // Parses + validates serialized shard bytes (any mismatch is DATA_LOSS
 // with the failing check named). `columns` may be nullptr to validate
 // only — row bounds are checked either way, straight off the payload
-// bytes: store_region/customer_region < num_regions, customer_region
-// within [region_begin, region_end), slot < kSlotsPerDay.
+// bytes: store_region/customer_region < num_regions, slot < kSlotsPerDay.
 common::Status ParseShard(const std::string& bytes, const std::string& origin,
                           ShardInfo* info, ShardColumns* columns);
 

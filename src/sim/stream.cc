@@ -24,13 +24,6 @@ namespace {
 
 constexpr int kDefaultMemBudgetMb = 2048;
 
-uint64_t SplitMix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::string ResolveDataDir(const std::string& requested) {
   if (!requested.empty()) return requested;
   return obs::EnvString("O2SR_DATA_DIR", "o2sr_data");
@@ -214,39 +207,46 @@ int InferBlockRegions(const std::string& dir, uint64_t config_hash) {
   return widest;
 }
 
+// Draws every order of `epoch` for the candidate block with DrawRegionDay,
+// appending one SpillRow per order (regions ascending, slots ascending
+// within a region). The regions run as a ParallelFor on
+// exec::CurrentPool(), each into its own buffer; the buffers are appended
+// in region order, so the rows are identical at any lane count.
+void GenerateBlockRows(const World& world, const CandidateIndex& candidates,
+                       int epoch, ShardColumns* out) {
+  std::vector<std::vector<SpillRow>> region_rows(candidates.region_end -
+                                                 candidates.region_begin);
+  exec::CurrentPool().ParallelFor(
+      static_cast<int64_t>(region_rows.size()), 1,
+      [&](int64_t i) {
+        std::vector<SpillRow>& rows = region_rows[i];
+        DrawRegionDay(world, candidates, epoch,
+                      candidates.region_begin + static_cast<int>(i),
+                      [&rows](const Order& order) {
+                        SpillRow row;
+                        row.store_region =
+                            static_cast<uint32_t>(order.store_region);
+                        row.customer_region =
+                            static_cast<uint32_t>(order.customer_region);
+                        row.type = static_cast<uint16_t>(order.type);
+                        row.slot = static_cast<uint8_t>(order.slot);
+                        row.delivery_minutes = order.delivery_minutes();
+                        row.distance_m = order.distance_m;
+                        rows.push_back(row);
+                      });
+      },
+      "sim.generate_rows");
+  size_t rows = out->rows();
+  for (const std::vector<SpillRow>& buffer : region_rows) {
+    rows += buffer.size();
+  }
+  out->Reserve(rows);
+  for (const std::vector<SpillRow>& buffer : region_rows) {
+    for (const SpillRow& row : buffer) out->Append(row);
+  }
+}
+
 }  // namespace
-
-uint64_t SimConfigHash(const SimConfig& c) {
-  std::string bytes;
-  nn::ByteWriter w(&bytes);
-  w.Scalar<double>(c.city_width_m);
-  w.Scalar<double>(c.city_height_m);
-  w.Scalar<double>(c.cell_m);
-  w.Scalar<int32_t>(c.num_store_types);
-  w.Scalar<int32_t>(c.num_stores);
-  w.Scalar<int32_t>(c.num_couriers);
-  w.Scalar<int32_t>(c.num_days);
-  w.Scalar<double>(c.peak_orders_per_region_slot);
-  w.Scalar<double>(c.courier_speed_m_per_min);
-  w.Scalar<double>(c.food_prep_minutes);
-  w.Scalar<double>(c.queue_minutes_per_load);
-  w.Scalar<double>(c.base_scope_m);
-  w.Scalar<double>(c.min_scope_factor);
-  w.Scalar<double>(c.max_scope_factor);
-  w.Scalar<double>(c.tolerance_minutes);
-  w.Scalar<double>(c.tolerance_softness);
-  w.Scalar<double>(c.demographic_preference_weight);
-  w.Scalar<double>(c.taste_noise_sigma);
-  w.Scalar<int32_t>(static_cast<int32_t>(c.preset));
-  w.Scalar<uint8_t>(c.generate_trajectories ? 1 : 0);
-  w.Scalar<uint64_t>(c.seed);
-  return nn::Fnv1a(bytes);
-}
-
-uint64_t ShardSeed(uint64_t seed, int epoch, int region) {
-  const uint64_t z = SplitMix64(seed ^ static_cast<uint64_t>(epoch));
-  return SplitMix64(z ^ static_cast<uint64_t>(region));
-}
 
 int AutoBlockRegions(const World& world, int mem_budget_mb) {
   const SimConfig& c = world.config;
@@ -271,50 +271,6 @@ int AutoBlockRegions(const World& world, int mem_budget_mb) {
   const int by_budget =
       static_cast<int>(budget_bytes * 0.5 / per_region_bytes);
   return Clamp(std::min(by_budget, cap), 1, num_regions);
-}
-
-void GenerateBlockRows(const World& world, const CandidateIndex& candidates,
-                       int epoch, ShardColumns* out) {
-  std::vector<std::vector<SpillRow>> region_rows(candidates.region_end -
-                                                 candidates.region_begin);
-  exec::CurrentPool().ParallelFor(
-      static_cast<int64_t>(region_rows.size()), 1,
-      [&](int64_t i) {
-        const int u = candidates.region_begin + static_cast<int>(i);
-        Rng rng(ShardSeed(world.config.seed, epoch, u));
-        const std::vector<CategoricalTable> type_choice =
-            TypeChoiceTables(world, u);
-        for (int slot = 0; slot < kSlotsPerDay; ++slot) {
-          const double jitter = rng.Uniform(0.85, 1.15);
-          const int attempts =
-              rng.Poisson(world.expected_demand[slot][u] * jitter);
-          for (int k = 0; k < attempts; ++k) {
-            Order order;
-            if (!SampleOrderAttempt(world, candidates, type_choice[slot],
-                                    epoch, slot, u, rng, &order)) {
-              continue;
-            }
-            SpillRow row;
-            row.store_region = static_cast<uint32_t>(order.store_region);
-            row.customer_region =
-                static_cast<uint32_t>(order.customer_region);
-            row.type = static_cast<uint16_t>(order.type);
-            row.slot = static_cast<uint8_t>(slot);
-            row.delivery_minutes = order.delivery_minutes();
-            row.distance_m = order.distance_m;
-            region_rows[i].push_back(row);
-          }
-        }
-      },
-      "sim.generate_rows");
-  size_t rows = out->rows();
-  for (const std::vector<SpillRow>& buffer : region_rows) {
-    rows += buffer.size();
-  }
-  out->Reserve(rows);
-  for (const std::vector<SpillRow>& buffer : region_rows) {
-    for (const SpillRow& row : buffer) out->Append(row);
-  }
 }
 
 common::Status WriteManifest(const std::string& path, const Manifest& m) {

@@ -55,28 +55,10 @@ struct Manifest {
   std::vector<ManifestEntry> entries;
 };
 
-// Fingerprint of every SimConfig field; a manifest only matches a config
-// that regenerates its shards bit-identically.
-uint64_t SimConfigHash(const SimConfig& config);
-
-// Seed of the independent RNG stream of (epoch, region): two chained
-// splitmix64 rounds over the base seed. Block-size independent by
-// construction.
-uint64_t ShardSeed(uint64_t seed, int epoch, int region);
-
 // Regions per block under `mem_budget_mb`, from an analytic estimate of
 // the per-region candidate-index footprint. Capped at ceil(R/4) so even a
 // huge budget exercises real sharding.
 int AutoBlockRegions(const World& world, int mem_budget_mb);
-
-// Draws every order of `epoch` for the candidate block, appending one
-// SpillRow per converted attempt (regions ascending, slots ascending
-// within a region). Deterministic given (config.seed, epoch, region).
-// The regions run as a ParallelFor on exec::CurrentPool(), each into its
-// own buffer; the buffers are appended in region order, so the rows are
-// identical at any lane count.
-void GenerateBlockRows(const World& world, const CandidateIndex& candidates,
-                       int epoch, ShardColumns* out);
 
 // Manifest I/O. Writes are atomic (container temp + rename) and carry the
 // `dataset.manifest` fault site: delay/error before the write,

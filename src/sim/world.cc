@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
+#include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "obs/trace.h"
 
@@ -49,6 +50,7 @@ World BuildWorld(const SimConfig& config, const WorldOverrides& overrides,
                  Rng& rng) {
   World world;
   world.config = config;
+  world.order_seed = overrides.order_seed.value_or(config.seed);
   world.city = [&] {
     O2SR_TRACE_SCOPE("sim.city");
     return GenerateCity(config, rng);
@@ -181,9 +183,7 @@ CandidateIndex BuildCandidates(const World& world, int region_begin,
   const int num_types = world.num_types();
   const int64_t num_regions = region_end - region_begin;
   // Calls visit(store, distance) for every store within reach of region
-  // region_begin + i, in ascending store index, so each per-type list
-  // preserves the scan order of the monolithic generator's mixed
-  // per-region list.
+  // region_begin + i, in ascending store index.
   const auto for_each_in_scope = [&](int64_t i, const auto& visit) {
     const geo::Point uc = world.city.grid.Center(region_begin + i);
     for (size_t si = 0; si < world.stores.size(); ++si) {
@@ -229,6 +229,11 @@ CandidateIndex BuildCandidates(const World& world, int region_begin,
   return index;
 }
 
+namespace {
+
+// The customer type-choice tables of `region`, one per slot, over
+// world.type_weights[region]. Built per region draw rather than held by
+// World for every region (~24 MB at a quarter of paper scale).
 std::vector<CategoricalTable> TypeChoiceTables(const World& world,
                                                int region) {
   std::vector<CategoricalTable> tables;
@@ -239,6 +244,10 @@ std::vector<CategoricalTable> TypeChoiceTables(const World& world,
   return tables;
 }
 
+// Draws one customer order attempt in `region` at (day, slot) from `rng`.
+// `type_choice` is TypeChoiceTables(world, region)[slot]. Returns true and
+// fills `order` (order_id 0) when the attempt converts; false when the
+// customer walks away.
 bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
                         const CategoricalTable& type_choice, int day,
                         int slot, int region, Rng& rng, Order* order) {
@@ -350,6 +359,37 @@ bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
           ? rng.UniformInt(0, config.num_couriers - 1)
           : pool[rng.UniformInt(0, static_cast<int>(pool.size()) - 1)];
   return true;
+}
+
+}  // namespace
+
+uint64_t ShardSeed(uint64_t seed, int epoch, int region) {
+  const uint64_t z = SplitMix64(seed ^ static_cast<uint64_t>(epoch));
+  return SplitMix64(z ^ static_cast<uint64_t>(region));
+}
+
+uint32_t DrawRegionDay(const World& world, const CandidateIndex& index,
+                       int day, int region,
+                       const std::function<void(const Order&)>& emit) {
+  static_assert(kSlotsPerDay <= 32, "slot mask is 32 bits");
+  Rng rng(ShardSeed(world.order_seed, day, region));
+  const std::vector<CategoricalTable> type_choice =
+      TypeChoiceTables(world, region);
+  uint32_t slots_with_attempts = 0;
+  for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+    const double jitter = rng.Uniform(0.85, 1.15);
+    const int attempts =
+        rng.Poisson(world.expected_demand[slot][region] * jitter);
+    if (attempts > 0) slots_with_attempts |= 1u << slot;
+    for (int k = 0; k < attempts; ++k) {
+      Order order;
+      if (SampleOrderAttempt(world, index, type_choice[slot], day, slot,
+                             region, rng, &order)) {
+        emit(order);
+      }
+    }
+  }
+  return slots_with_attempts;
 }
 
 SimConfig PaperScaleConfig() {

@@ -1,20 +1,24 @@
 #ifndef O2SR_SIM_WORLD_H_
 #define O2SR_SIM_WORLD_H_
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/dataset.h"
 
 namespace o2sr::sim {
 
-// The static part of a simulated city: everything GenerateDataset derives
-// from the config before the first order is drawn. Extracted so the
-// streaming generator (sim/stream.h) can build the world once and then
-// emit orders block-by-block with bounded memory, while GenerateDataset
-// keeps producing the exact same in-RAM dataset it always has (BuildWorld
-// consumes the RNG in the same order the monolithic generator did).
+// The static part of a simulated city: everything derived from the config
+// before the first order is drawn. Both generators build it once, then
+// draw the orders per (day, region) with DrawRegionDay: GenerateDataset
+// collects every region in RAM, the streaming generator (sim/stream.h)
+// spills one block of regions at a time.
 struct World {
   SimConfig config;
+  // Base seed of the per-(day, region) order streams: config.seed unless
+  // WorldOverrides::order_seed replaces it.
+  uint64_t order_seed = 0;
   CityModel city;
   std::vector<StoreType> type_catalog;
   std::vector<Store> stores;
@@ -41,9 +45,8 @@ struct World {
 // Fraction of the courier fleet on shift per 2-hour slot (§II-B1).
 const std::vector<double>& SupplySlotProfile();
 
-// Builds the world, drawing from `rng` exactly as GenerateDataset does
-// before its order loop: city -> catalog -> stores -> taste ->
-// courier allocation -> courier pool.
+// Builds the world, drawing from `rng` in this order: city -> catalog ->
+// stores -> taste -> courier allocation -> courier pool.
 World BuildWorld(const SimConfig& config, const WorldOverrides& overrides,
                  Rng& rng);
 
@@ -54,9 +57,8 @@ World BuildWorld(const SimConfig& config, const WorldOverrides& overrides,
 Dataset WorldDataset(const World& world);
 
 // Candidate stores per (region, type) for regions [region_begin,
-// region_end), each list ordered by ascending store index (the same order
-// the monolithic generator scans its mixed per-region list in, so
-// Categorical draws see identical weight vectors).
+// region_end), each list ordered by ascending store index, so a region's
+// draws see the same weight vectors under any blocking.
 struct TypedCandidate {
   int store_index = 0;
   double distance_m = 0.0;
@@ -74,19 +76,23 @@ struct CandidateIndex {
 CandidateIndex BuildCandidates(const World& world, int region_begin,
                                int region_end);
 
-// The customer type-choice tables of `region`, one per slot, over
-// world.type_weights[region]. The generators build them per region rather
-// than World holding all of them (~24 MB at a quarter of paper scale).
-std::vector<CategoricalTable> TypeChoiceTables(const World& world, int region);
+// Seed of the independent RNG stream of (epoch, region): two chained
+// SplitMix64 rounds over the base seed. Block-size independent by
+// construction.
+uint64_t ShardSeed(uint64_t seed, int epoch, int region);
 
-// Draws one customer order attempt in `region` at (day, slot), consuming
-// `rng` exactly as the monolithic generator's attempt body does.
-// `type_choice` is TypeChoiceTables(world, region)[slot]. Returns true and
-// fills `order` (order_id left 0 for the caller to assign) when the attempt
-// converts; false when the customer walks away.
-bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
-                        const CategoricalTable& type_choice, int day,
-                        int slot, int region, Rng& rng, Order* order);
+// The one order draw of both generators. Seeds the stream of (day, region)
+// with ShardSeed(world.order_seed, day, region); then, per slot ascending,
+// draws a jittered Poisson attempt count and samples each attempt. Calls
+// `emit` once per attempt that converts, with order_id left 0 for the
+// caller to assign, and returns the slots that drew at least one attempt
+// as a bit mask (bit s = slot s). The orders depend only on (order_seed,
+// day, region) and the world, never on the blocking, the lane or any other
+// region, so callers run regions as a ParallelFor and append their buffers
+// in region order. `index` must cover `region`.
+uint32_t DrawRegionDay(const World& world, const CandidateIndex& index,
+                       int day, int region,
+                       const std::function<void(const Order&)>& emit);
 
 // The paper's workload: ~39.5k stores in a 32 km x 32 km city (4096
 // regions), 122 store types, one month of orders (>= 23.6M). Only the

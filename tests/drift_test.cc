@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,6 +184,33 @@ TEST(DriftTest, StoreIdsStayContiguousAcrossEpochs) {
           << "epoch " << epoch;
     }
   }
+}
+
+// Each epoch is a new window of orders: with (next to) nothing drifting,
+// epoch 1 draws fresh orders over the same stores instead of replaying
+// epoch 0's random numbers. A replayed order has an exact twin in epoch 0:
+// the same store and the same delivery time to the bit.
+TEST(DriftTest, EachEpochDrawsItsOwnOrders) {
+  const SimConfig base = SmallWorld();
+  DriftConfig still;
+  still.store_close_rate = 0.0;
+  still.store_open_rate = 0.0;
+  // Normal draws need a positive std-dev.
+  still.popularity_walk_sigma = 1e-12;
+  still.rush_shift_slots = 1e-12;
+  const Dataset epoch0 = GenerateDriftedDataset(base, still, 0);
+  const Dataset epoch1 = GenerateDriftedDataset(base, still, 1);
+  ASSERT_EQ(epoch0.stores.size(), epoch1.stores.size());
+  ASSERT_GT(epoch1.orders.size(), 100u);
+  std::set<std::pair<int, double>> epoch0_orders;
+  for (const Order& o : epoch0.orders) {
+    epoch0_orders.insert({o.store_id, o.delivery_min});
+  }
+  size_t replayed = 0;
+  for (const Order& o : epoch1.orders) {
+    replayed += epoch0_orders.count({o.store_id, o.delivery_min});
+  }
+  EXPECT_LT(replayed, epoch1.orders.size() / 10);
 }
 
 TEST(DriftTest, EpochsComposeCumulatively) {

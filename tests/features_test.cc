@@ -223,7 +223,19 @@ TEST(AnalysisTest, DeliveryTimeDistributionSharesSumToOne) {
 }
 
 TEST(AnalysisTest, RushHourShiftsDeliveryTimesRight) {
-  const auto dist = DeliveryTimeDistributionByPeriod(Data());
+  // One seed of the test city holds only a handful of 2.5-3 km orders per
+  // period, too few for the shares to order reliably; pool the orders of
+  // 8 seeds instead.
+  sim::Dataset pooled = Data();
+  for (uint64_t seed = TestConfig().seed + 1; seed < TestConfig().seed + 8;
+       ++seed) {
+    sim::SimConfig cfg = TestConfig();
+    cfg.seed = seed;
+    const sim::Dataset data = sim::GenerateDataset(cfg);
+    pooled.orders.insert(pooled.orders.end(), data.orders.begin(),
+                         data.orders.end());
+  }
+  const auto dist = DeliveryTimeDistributionByPeriod(pooled);
   const auto& noon = dist.share[static_cast<int>(sim::Period::kNoonRush)];
   const auto& afternoon =
       dist.share[static_cast<int>(sim::Period::kAfternoon)];

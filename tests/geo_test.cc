@@ -10,40 +10,6 @@
 namespace o2sr::geo {
 namespace {
 
-TEST(HaversineTest, ZeroForSamePoint) {
-  LatLng p{31.23, 121.47};
-  EXPECT_DOUBLE_EQ(HaversineMeters(p, p), 0.0);
-}
-
-TEST(HaversineTest, KnownDistanceShanghaiBeijing) {
-  // Shanghai (31.2304, 121.4737) to Beijing (39.9042, 116.4074): ~1068 km.
-  const double d =
-      HaversineMeters({31.2304, 121.4737}, {39.9042, 116.4074});
-  EXPECT_NEAR(d, 1068000.0, 10000.0);
-}
-
-TEST(HaversineTest, OneDegreeLatitudeIsAbout111Km) {
-  const double d = HaversineMeters({31.0, 121.0}, {32.0, 121.0});
-  EXPECT_NEAR(d, 111195.0, 200.0);
-}
-
-TEST(CityFrameTest, RoundTripIsAccurate) {
-  CityFrame frame;
-  const Point p{4321.0, 8765.0};
-  const Point back = frame.ToPoint(frame.ToLatLng(p));
-  EXPECT_NEAR(back.x, p.x, 0.01);
-  EXPECT_NEAR(back.y, p.y, 0.01);
-}
-
-TEST(CityFrameTest, PlanarDistanceMatchesHaversineAtCityScale) {
-  CityFrame frame;
-  const Point a{1000.0, 2000.0};
-  const Point b{6000.0, 9000.0};
-  const double planar = EuclideanMeters(a, b);
-  const double sphere = HaversineMeters(frame.ToLatLng(a), frame.ToLatLng(b));
-  EXPECT_NEAR(planar, sphere, planar * 0.001);
-}
-
 TEST(GridTest, DimensionsAndRegionCount) {
   Grid grid(10000.0, 5000.0, 500.0);
   EXPECT_EQ(grid.cols(), 20);

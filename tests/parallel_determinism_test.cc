@@ -17,6 +17,7 @@
 #include "graphs/hetero_graph.h"
 #include "graphs/mobility_graph.h"
 #include "nn/tensor.h"
+#include "sim/dataset.h"
 
 namespace o2sr {
 namespace {
@@ -104,6 +105,62 @@ const sim::Dataset& Data() {
   static const sim::Dataset* data =
       new sim::Dataset(sim::GenerateDataset(SmallCity()));
   return *data;
+}
+
+// GenerateDataset draws the regions of each day as one ParallelFor and
+// appends their buffers in region order: every field of every order, and
+// the per-slot and per-period tables derived from them, match the 1-lane
+// dataset bit for bit. Both presets, since the open-data one draws extra
+// customer jitter per order.
+TEST(ParallelDeterminismTest, GenerateDatasetBitIdentical) {
+  for (const sim::SimulationPreset preset :
+       {sim::SimulationPreset::kSyntheticEleme,
+        sim::SimulationPreset::kOpenData}) {
+    sim::SimConfig config = SmallCity();
+    config.preset = preset;
+    ExpectSameAtAllThreadCounts(
+        [&] { return sim::GenerateDataset(config); },
+        [](const sim::Dataset& a, const sim::Dataset& b) {
+          ASSERT_GT(a.orders.size(), 0u);
+          ASSERT_EQ(a.orders.size(), b.orders.size());
+          for (size_t i = 0; i < a.orders.size(); ++i) {
+            const sim::Order& x = a.orders[i];
+            const sim::Order& y = b.orders[i];
+            ASSERT_EQ(x.order_id, y.order_id) << "order " << i;
+            ASSERT_EQ(x.store_id, y.store_id) << "order " << i;
+            ASSERT_EQ(x.courier_id, y.courier_id) << "order " << i;
+            ASSERT_EQ(x.type, y.type) << "order " << i;
+            ASSERT_EQ(x.store_region, y.store_region) << "order " << i;
+            ASSERT_EQ(x.customer_region, y.customer_region) << "order " << i;
+            ASSERT_EQ(x.store_location.x, y.store_location.x) << "order " << i;
+            ASSERT_EQ(x.store_location.y, y.store_location.y) << "order " << i;
+            ASSERT_EQ(x.customer_location.x, y.customer_location.x)
+                << "order " << i;
+            ASSERT_EQ(x.customer_location.y, y.customer_location.y)
+                << "order " << i;
+            ASSERT_EQ(x.creation_min, y.creation_min) << "order " << i;
+            ASSERT_EQ(x.acceptance_min, y.acceptance_min) << "order " << i;
+            ASSERT_EQ(x.pickup_min, y.pickup_min) << "order " << i;
+            ASSERT_EQ(x.delivery_min, y.delivery_min) << "order " << i;
+            ASSERT_EQ(x.distance_m, y.distance_m) << "order " << i;
+            ASSERT_EQ(x.day, y.day) << "order " << i;
+            ASSERT_EQ(x.slot, y.slot) << "order " << i;
+          }
+          ASSERT_EQ(a.slot_stats.size(), b.slot_stats.size());
+          for (size_t i = 0; i < a.slot_stats.size(); ++i) {
+            const sim::SlotStats& x = a.slot_stats[i];
+            const sim::SlotStats& y = b.slot_stats[i];
+            EXPECT_EQ(x.day, y.day) << "slot stats " << i;
+            EXPECT_EQ(x.slot, y.slot) << "slot stats " << i;
+            EXPECT_EQ(x.active_couriers, y.active_couriers)
+                << "slot stats " << i;
+            EXPECT_EQ(x.orders, y.orders) << "slot stats " << i;
+            EXPECT_EQ(x.mean_delivery_minutes, y.mean_delivery_minutes)
+                << "slot stats " << i;
+          }
+          EXPECT_EQ(a.scope_factor_per_period, b.scope_factor_per_period);
+        });
+  }
 }
 
 TEST(ParallelDeterminismTest, GeoGraphBitIdentical) {

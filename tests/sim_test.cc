@@ -279,30 +279,6 @@ TEST_F(DatasetTest, SupplyDemandRatioCorrelatesNegativelyWithDeliveryTime) {
   EXPECT_LT(PearsonCorrelation(ratios, times), -0.4);
 }
 
-TEST(DatasetTrajectoryTest, TrajectoriesFollowOrders) {
-  SimConfig cfg = SmallConfig();
-  cfg.num_days = 1;
-  cfg.generate_trajectories = true;
-  const Dataset data = GenerateDataset(cfg);
-  ASSERT_EQ(data.trajectories.size(), data.orders.size());
-  for (size_t i = 0; i < std::min<size_t>(data.trajectories.size(), 200);
-       ++i) {
-    const Trajectory& t = data.trajectories[i];
-    const Order& o = data.orders[t.order_id];
-    ASSERT_GE(t.points.size(), 2u);
-    EXPECT_EQ(t.courier_id, o.courier_id);
-    // Starts at the store, ends at the customer.
-    EXPECT_NEAR(t.points.front().location.x, o.store_location.x, 1e-6);
-    EXPECT_NEAR(t.points.back().location.x, o.customer_location.x, 1e-6);
-    EXPECT_NEAR(t.points.front().time_min, o.pickup_min, 1e-6);
-    EXPECT_NEAR(t.points.back().time_min, o.delivery_min, 1e-6);
-    // Timestamps increase.
-    for (size_t k = 1; k < t.points.size(); ++k) {
-      EXPECT_GT(t.points[k].time_min, t.points[k - 1].time_min);
-    }
-  }
-}
-
 TEST(DatasetPresetTest, OpenDataPresetIsSparser) {
   SimConfig cfg = SmallConfig();
   const Dataset dense = GenerateDataset(cfg);

@@ -158,7 +158,7 @@ TEST(SpillFormatTest, OutOfRangeRowsAreDataLossDespiteValidChecksums) {
   bad_store.customer_region = 8;
   SpillRow bad_customer;
   bad_customer.store_region = 0;
-  bad_customer.customer_region = 16;  // == region_end
+  bad_customer.customer_region = 64;  // == num_regions
   SpillRow bad_slot;
   bad_slot.store_region = 0;
   bad_slot.customer_region = 8;

@@ -83,6 +83,20 @@ uint64_t AggregateFingerprint(const SimConfig& config,
   return features::FingerprintOrderStats(*stats);
 }
 
+// Reads `dir` back under kStrict, so any shard that fails to parse is an
+// error rather than a regeneration.
+uint64_t StrictFingerprint(const SimConfig& config, const std::string& dir,
+                           SpillReadReport* report) {
+  SpillReadOptions strict;
+  strict.policy = SpillReadPolicy::kStrict;
+  auto reader = DatasetReader::Open(config, dir, strict);
+  EXPECT_TRUE(reader.ok()) << reader.status();
+  if (!reader.ok()) return 0;
+  auto stats = features::AggregateSpill(*reader, report);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  return stats.ok() ? features::FingerprintOrderStats(*stats) : 0;
+}
+
 TEST(StreamGenerateTest, FullRunWritesEveryShardAndJournalsThem) {
   const SimConfig config = TinyConfig();
   const std::string dir = FreshDir("stream_full");
@@ -466,6 +480,52 @@ TEST(StreamGraphTest, GraphsFromStreamedAggregatesMatchCollectedRows) {
   EXPECT_GT(hetero.num_store_nodes(), 0);
   EXPECT_GT(mobility.TotalEdges(), 0u);
   EXPECT_EQ(hetero.num_types(), world_data.num_types());
+}
+
+// One order generator: GenerateDataset collects the same per-(day, region)
+// draws StreamGenerate spills, in the reader's canonical order, so the
+// in-memory aggregates fingerprint equal to the streamed ones for both
+// presets under any blocking. The open-data preset displaces customers by
+// ~0.75 cells, so some of its rows name a customer region outside their
+// shard's block; kStrict must still read every shard as written.
+TEST(StreamEquivalenceTest, GenerateDatasetMatchesTheSpilledDataset) {
+  for (const SimulationPreset preset :
+       {SimulationPreset::kSyntheticEleme, SimulationPreset::kOpenData}) {
+    SimConfig config = TinyConfig();
+    config.preset = preset;
+    const Dataset data = GenerateDataset(config);
+    const uint64_t in_memory =
+        features::FingerprintOrderStats(features::OrderStats(data));
+    for (const int block_regions : {4, 7}) {
+      const std::string dir = FreshDir(
+          ("stream_equiv_" + std::to_string(static_cast<int>(preset)) + "_" +
+           std::to_string(block_regions))
+              .c_str());
+      ASSERT_TRUE(StreamGenerate(config, Opts(dir, block_regions)).ok());
+      SpillReadReport report;
+      EXPECT_EQ(StrictFingerprint(config, dir, &report), in_memory)
+          << "preset " << static_cast<int>(preset) << ", " << block_regions
+          << " regions/block";
+      EXPECT_EQ(report.rows, data.orders.size());
+      if (preset != SimulationPreset::kOpenData) continue;
+      auto reader = DatasetReader::Open(config, dir, SpillReadOptions());
+      ASSERT_TRUE(reader.ok()) << reader.status();
+      int crossing = 0;
+      ASSERT_TRUE(reader
+                      ->Stream(
+                          [&crossing](const ShardColumns& cols,
+                                      const ShardInfo& info) {
+                            for (const uint32_t u : cols.customer_region) {
+                              crossing += u < info.region_begin ||
+                                          u >= info.region_end;
+                            }
+                            return common::Status::Ok();
+                          },
+                          nullptr)
+                      .ok());
+      EXPECT_GT(crossing, 0) << block_regions << " regions/block";
+    }
+  }
 }
 
 // Generation is a ParallelFor over each block's regions. Every region
