@@ -438,13 +438,15 @@ done
 grep -qF "${REF_FNV}" "${SCALE_DIR}/killed.txt"
 grep -q "quarantined=0 " "${SCALE_DIR}/killed.txt"
 
-# Chaos ingest: a quarter of shard writes land torn on disk and a fifth
-# of journal updates die outright, killing the run mid-dataset; the
-# driver restarts it (fresh fault seed each attempt) until it exits 0.
-# The reader must then detect every torn shard, quarantine it and
-# regenerate identical rows — same fingerprint, nothing skipped.
+# Chaos ingest: a quarter of shard writes land torn on disk, a fifth of
+# journal updates die outright, killing the run mid-dataset, and a tenth
+# of journal frames land torn, so the next open quarantines the journal
+# and rebuilds it from the shards; the loop below restarts the run (fresh
+# fault seed each attempt) until it exits 0. The reader must then detect
+# every torn shard and journal, quarantine them and regenerate identical
+# rows — same fingerprint, nothing skipped.
 ATTEMPTS=0
-until O2SR_FAULTS="seed=${ATTEMPTS},dataset.write=trunc:0.25,dataset.manifest=error:0.2" \
+until O2SR_FAULTS="seed=${ATTEMPTS},dataset.write=trunc:0.25,dataset.manifest=error:0.2,dataset.manifest=trunc:0.1" \
         ./build/examples/scale_demo ingest "${SCALE_DIR}/chaos" \
         > "${SCALE_DIR}/chaos_ingest.txt" 2>/dev/null; do
   ATTEMPTS=$((ATTEMPTS + 1))

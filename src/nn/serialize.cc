@@ -1,5 +1,8 @@
 #include "nn/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -91,15 +94,51 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
   }
   const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
   const bool write_error = std::ferror(f) != 0 || written != contents.size();
-  std::fclose(f);
-  if (write_error) {
+  // stdio may hold the whole file in its buffer until fclose, so a full
+  // disk, a file-size limit or an I/O error on that final flush shows up
+  // only here; the temp file is then short and must not be published.
+  const bool close_error = std::fclose(f) != 0;
+  if (write_error || close_error) {
+    const int err = errno;
     std::remove(tmp.c_str());
-    return common::UnavailableError("write error on '" + tmp + "'");
+    return common::UnavailableError("write error on '" + tmp +
+                                    "': " + std::strerror(err));
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return common::UnavailableError("cannot rename '" + tmp + "' to '" +
                                     path + "': " + std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
+Status AppendToFile(const std::string& path, const std::string& bytes) {
+  // O_APPEND without O_CREAT: the file must already exist, so a vanished
+  // file is NOT_FOUND rather than a new file holding only this record.
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    const std::string message =
+        "cannot open '" + path + "' for appending: " + std::strerror(err);
+    return err == ENOENT ? common::NotFoundError(message)
+                         : common::UnavailableError(message);
+  }
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const int err = errno;
+      ::close(fd);
+      return common::UnavailableError("append error on '" + path +
+                                      "': " + std::strerror(err));
+    }
+    written += static_cast<size_t>(n);
+  }
+  if (::close(fd) != 0) {
+    return common::UnavailableError("append error on '" + path +
+                                    "': " + std::strerror(errno));
   }
   return Status::Ok();
 }

@@ -94,8 +94,16 @@ class ByteReader {
 common::Status ReadFileToString(const std::string& path, std::string* out);
 
 // Writes `contents` to a sibling temp file and renames it over `path`.
+// UNAVAILABLE, with `path` untouched, when any write or the final flush
+// fails.
 common::Status WriteFileAtomic(const std::string& path,
                                const std::string& contents);
+
+// Appends `bytes` to the existing file `path` (NOT_FOUND when it does not
+// exist). Never renames or truncates; a failed append may leave a prefix
+// of `bytes` behind, which the file's own framing must detect.
+common::Status AppendToFile(const std::string& path,
+                            const std::string& bytes);
 
 // Moves a damaged artifact into a `.quarantine/` directory next to it and
 // drops a `<name>.reason` record alongside, returning the quarantined

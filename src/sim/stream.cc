@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <system_error>
 #include <utility>
 
@@ -39,13 +41,16 @@ std::string ManifestPath(const std::string& dir) {
   return (fs::path(dir) / kManifestFileName).string();
 }
 
-// Serialized size floor of one manifest entry: filename length prefix +
-// the ShardInfo scalars. Guards the entry-count reserve against a
-// corrupted count.
-constexpr uint64_t kMinEntryBytes =
-    sizeof(uint64_t) + 5 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+// One journal frame around `payload` (format in sim/stream.h).
+std::string Frame(const std::string& payload) {
+  std::string frame;
+  nn::ByteWriter w(&frame);
+  w.Str(payload);
+  w.Scalar<uint64_t>(nn::Fnv1a(frame));
+  return frame;
+}
 
-std::string SerializeManifestPayload(const Manifest& m) {
+std::string LayoutFrame(const Manifest& m) {
   std::string payload;
   nn::ByteWriter w(&payload);
   w.Scalar<uint64_t>(m.config_hash);
@@ -53,55 +58,111 @@ std::string SerializeManifestPayload(const Manifest& m) {
   w.Scalar<uint32_t>(m.num_blocks);
   w.Scalar<uint32_t>(m.epochs);
   w.Scalar<uint32_t>(m.num_regions);
-  w.Scalar<uint64_t>(m.entries.size());
-  for (const ManifestEntry& e : m.entries) {
-    w.Str(e.filename);
-    w.Scalar<uint32_t>(e.info.block);
-    w.Scalar<uint32_t>(e.info.epoch);
-    w.Scalar<uint32_t>(e.info.region_begin);
-    w.Scalar<uint32_t>(e.info.region_end);
-    w.Scalar<uint32_t>(e.info.num_regions);
-    w.Scalar<uint64_t>(e.info.rows);
-    w.Scalar<uint64_t>(e.info.payload_fnv);
-  }
-  return payload;
+  return Frame(payload);
 }
 
-common::Status ParseManifestPayload(const std::string& payload,
-                                    const std::string& origin, Manifest* m) {
+std::string EntryFrame(const ManifestEntry& e) {
+  std::string payload;
+  nn::ByteWriter w(&payload);
+  w.Str(e.filename);
+  w.Scalar<uint32_t>(e.info.block);
+  w.Scalar<uint32_t>(e.info.epoch);
+  w.Scalar<uint32_t>(e.info.region_begin);
+  w.Scalar<uint32_t>(e.info.region_end);
+  w.Scalar<uint32_t>(e.info.num_regions);
+  w.Scalar<uint64_t>(e.info.rows);
+  w.Scalar<uint64_t>(e.info.payload_fnv);
+  return Frame(payload);
+}
+
+std::string SerializeManifest(const Manifest& m) {
+  std::string out(kManifestMagic, 8);
+  nn::ByteWriter w(&out);
+  w.Scalar<uint32_t>(kManifestVersion);
+  out += LayoutFrame(m);
+  for (const ManifestEntry& e : m.entries) out += EntryFrame(e);
+  return out;
+}
+
+// Reads the frame at `r`'s position of `bytes` into `payload`; DATA_LOSS
+// when the frame is torn or fails its checksum.
+common::Status ReadFrame(const std::string& bytes, nn::ByteReader& r,
+                         std::string* payload) {
+  const size_t begin = bytes.size() - r.remaining();
+  O2SR_RETURN_IF_ERROR(r.Str(payload));
+  const size_t end = bytes.size() - r.remaining();
+  uint64_t checksum = 0;
+  O2SR_RETURN_IF_ERROR(r.Scalar(&checksum));
+  if (checksum != nn::Fnv1a(bytes.substr(begin, end - begin))) {
+    return common::DataLossError("checksum mismatch");
+  }
+  return common::Status::Ok();
+}
+
+common::Status ParseLayout(const std::string& payload, Manifest* m) {
   nn::ByteReader r(payload);
   O2SR_RETURN_IF_ERROR(r.Scalar(&m->config_hash));
   O2SR_RETURN_IF_ERROR(r.Scalar(&m->block_regions));
   O2SR_RETURN_IF_ERROR(r.Scalar(&m->num_blocks));
   O2SR_RETURN_IF_ERROR(r.Scalar(&m->epochs));
   O2SR_RETURN_IF_ERROR(r.Scalar(&m->num_regions));
-  uint64_t count = 0;
-  O2SR_RETURN_IF_ERROR(r.Scalar(&count));
-  if (count > r.remaining() / kMinEntryBytes) {
-    return common::DataLossError("manifest '" + origin + "' claims " +
-                                 std::to_string(count) +
-                                 " entries, more than its bytes can hold");
+  if (r.remaining() != 0) return common::DataLossError("trailing bytes");
+  return common::Status::Ok();
+}
+
+common::Status ParseEntry(const std::string& payload, ManifestEntry* e) {
+  nn::ByteReader r(payload);
+  O2SR_RETURN_IF_ERROR(r.Str(&e->filename));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.block));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.epoch));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.region_begin));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.region_end));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.num_regions));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.rows));
+  O2SR_RETURN_IF_ERROR(r.Scalar(&e->info.payload_fnv));
+  if (r.remaining() != 0) return common::DataLossError("trailing bytes");
+  return common::Status::Ok();
+}
+
+common::Status ParseManifest(const std::string& bytes,
+                             const std::string& origin, Manifest* m) {
+  const std::string where = "manifest '" + origin + "'";
+  nn::ByteReader r(bytes);
+  char magic[8] = {};
+  uint32_t version = 0;
+  if (!r.Scalar(&magic).ok() || !r.Scalar(&version).ok()) {
+    return common::DataLossError(where + " is truncated below its header");
   }
+  if (std::memcmp(magic, kManifestMagic, 8) != 0) {
+    return common::DataLossError(where + " has a bad magic number");
+  }
+  if (version != kManifestVersion) {
+    return common::FailedPreconditionError(
+        where + " has format version " + std::to_string(version) +
+        ", expected " + std::to_string(kManifestVersion));
+  }
+  std::string payload;
+  O2SR_RETURN_IF_ERROR(ReadFrame(bytes, r, &payload)
+                           .WithContext(where + " layout frame"));
+  O2SR_RETURN_IF_ERROR(
+      ParseLayout(payload, m).WithContext(where + " layout frame"));
   m->entries.clear();
-  m->entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
+  std::set<std::pair<uint32_t, uint32_t>> cells;
+  while (r.remaining() != 0) {
+    const std::string frame =
+        where + " entry frame " + std::to_string(m->entries.size());
+    O2SR_RETURN_IF_ERROR(ReadFrame(bytes, r, &payload).WithContext(frame));
     ManifestEntry e;
-    O2SR_RETURN_IF_ERROR(r.Str(&e.filename));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.block));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.epoch));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.region_begin));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.region_end));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.num_regions));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.rows));
-    O2SR_RETURN_IF_ERROR(r.Scalar(&e.info.payload_fnv));
+    O2SR_RETURN_IF_ERROR(ParseEntry(payload, &e).WithContext(frame));
+    // Each publish journals its cell once; a second frame for a cell means
+    // the file was appended to from a view that did not match it.
+    if (!cells.insert({e.info.block, e.info.epoch}).second) {
+      return common::DataLossError(frame + " journals its cell twice");
+    }
     // Every journaled shard was written under the manifest's config; the
     // hash is manifest-level state, not serialized per entry.
     e.info.config_hash = m->config_hash;
     m->entries.push_back(std::move(e));
-  }
-  if (r.remaining() != 0) {
-    return common::DataLossError("manifest '" + origin +
-                                 "' has trailing bytes after its entries");
   }
   return common::Status::Ok();
 }
@@ -260,9 +321,10 @@ int AutoBlockRegions(const World& world, int mem_budget_mb) {
                                             area);
   const double est_candidates =
       static_cast<double>(world.stores.size()) * coverage;
-  // 16 bytes per TypedCandidate, plus generous slack for the per-type list
-  // headers and the shard's row buffer.
-  const double per_region_bytes = est_candidates * 16.0 + 65536.0;
+  // One TypedCandidate per candidate, plus generous slack for the per-type
+  // list headers and the shard's row buffer.
+  const double per_region_bytes =
+      est_candidates * sizeof(TypedCandidate) + 65536.0;
   const double budget_bytes = static_cast<double>(mem_budget_mb) * 1048576.0;
   // Half the budget goes to the block (the rest covers the world tables);
   // cap at ceil(R/4) so every dataset gets at least 4 blocks of real
@@ -278,24 +340,32 @@ common::Status WriteManifest(const std::string& path, const Manifest& m) {
   faults.InjectDelay("dataset.manifest");
   O2SR_RETURN_IF_ERROR(
       faults.InjectError("dataset.manifest").WithContext("writing " + path));
-  std::string payload = SerializeManifestPayload(m);
-  // Corrupting the payload BEFORE the envelope is sealed publishes a
-  // manifest whose container checksum passes but whose payload is garbage:
-  // the reader's payload parser must hold the line on its own.
-  faults.InjectCorruption("dataset.manifest", &payload);
-  return nn::WriteContainerFile(path, kManifestMagic, kManifestVersion,
-                                payload);
+  std::string bytes = SerializeManifest(m);
+  // Corruption lands on disk: a torn or flipped journal the next open must
+  // catch by its frame checksums.
+  faults.InjectCorruption("dataset.manifest", &bytes);
+  return nn::WriteFileAtomic(path, bytes);
+}
+
+common::Status AppendManifestEntry(const std::string& path,
+                                   const ManifestEntry& entry) {
+  common::FaultInjector& faults = common::FaultInjector::Global();
+  faults.InjectDelay("dataset.manifest");
+  O2SR_RETURN_IF_ERROR(faults.InjectError("dataset.manifest")
+                           .WithContext("appending to " + path));
+  std::string frame = EntryFrame(entry);
+  faults.InjectCorruption("dataset.manifest", &frame);
+  return nn::AppendToFile(path, frame);
 }
 
 common::StatusOr<Manifest> ReadManifest(const std::string& path) {
   common::FaultInjector& faults = common::FaultInjector::Global();
   faults.InjectDelay("dataset.manifest");
-  O2SR_ASSIGN_OR_RETURN(std::string payload,
-                        nn::ReadContainerFile(path, kManifestMagic,
-                                              kManifestVersion));
-  faults.InjectCorruption("dataset.manifest", &payload);
+  std::string bytes;
+  O2SR_RETURN_IF_ERROR(nn::ReadFileToString(path, &bytes));
+  faults.InjectCorruption("dataset.manifest", &bytes);
   Manifest m;
-  O2SR_RETURN_IF_ERROR(ParseManifestPayload(payload, path, &m));
+  O2SR_RETURN_IF_ERROR(ParseManifest(bytes, path, &m));
   return m;
 }
 
@@ -350,6 +420,7 @@ common::StatusOr<StreamResult> StreamGenerate(const SimConfig& config,
     manifest.num_blocks = NumBlocks(num_regions, block_regions);
     manifest.epochs = config.num_days;
     manifest.num_regions = num_regions;
+    O2SR_RETURN_IF_ERROR(WriteManifest(manifest_path, manifest));
   } else {
     // Torn or corrupt journal: quarantine it and rebuild from the shards
     // themselves — each shard is self-describing and self-checking. The
@@ -425,10 +496,11 @@ common::StatusOr<StreamResult> StreamGenerate(const SimConfig& config,
                             WriteShard(path, columns, identity));
 
       // Journal the publish before moving on: kill-anywhere resume only
-      // ever re-does the one shard whose journal write did not land (and
+      // ever re-does the one shard whose journal frame did not land (and
       // regenerating it writes the same bytes).
       manifest.entries.push_back(ManifestEntry{info, filename});
-      O2SR_RETURN_IF_ERROR(WriteManifest(manifest_path, manifest));
+      O2SR_RETURN_IF_ERROR(
+          AppendManifestEntry(manifest_path, manifest.entries.back()));
       result.rows += info.rows;
       ++result.shards_written;
       if (options.max_shards_per_run > 0 &&
@@ -651,8 +723,8 @@ common::Status DatasetReader::Stream(const ShardSink& sink,
                             << path << "': " << healed.ToString();
         } else if (entry == nullptr) {
           manifest_.entries.push_back(ManifestEntry{info, filename});
-          const common::Status journaled =
-              WriteManifest(ManifestPath(dir_), manifest_);
+          const common::Status journaled = AppendManifestEntry(
+              ManifestPath(dir_), manifest_.entries.back());
           if (!journaled.ok()) {
             O2SR_LOG(WARNING) << "could not journal regenerated shard: "
                               << journaled.ToString();

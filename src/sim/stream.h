@@ -22,11 +22,12 @@ namespace o2sr::sim {
 // block size, the memory budget, and how many times ingestion was killed
 // and restarted.
 //
-// A checksummed manifest (container "O2SRMNFS") journals every published
-// shard: it is rewritten atomically after each shard, so ingestion killed
-// at ANY shard boundary resumes from the journal and converges to
-// bit-identical output. A shard on disk but missing from the manifest is
-// simply regenerated — the rewrite produces the same bytes.
+// A manifest (magic "O2SRMNFS") journals every published shard: after a
+// layout frame, each publish appends one length-prefixed, checksummed
+// frame, so ingestion killed at ANY shard boundary resumes from the
+// journal and converges to bit-identical output. A shard on disk but
+// missing from the manifest is simply regenerated — the rewrite produces
+// the same bytes.
 //
 // DatasetReader streams the shards back to aggregation / graph
 // construction without ever materializing the raw order vector. Corrupt or
@@ -36,7 +37,7 @@ namespace o2sr::sim {
 // reported error budget.
 
 inline constexpr char kManifestMagic[] = "O2SRMNFS";  // 8 chars + NUL
-inline constexpr uint32_t kManifestVersion = 1;
+inline constexpr uint32_t kManifestVersion = 2;  // v2: append-only frames
 inline constexpr char kManifestFileName[] = "manifest.o2sm";
 
 // One journal record per published shard.
@@ -60,12 +61,23 @@ struct Manifest {
 // huge budget exercises real sharding.
 int AutoBlockRegions(const World& world, int mem_budget_mb);
 
-// Manifest I/O. Writes are atomic (container temp + rename) and carry the
-// `dataset.manifest` fault site: delay/error before the write,
-// bitflip/trunc applied to the payload (write) or to the
-// envelope-validated payload (read) so the payload parser's own hardening
-// is exercised.
+// Manifest I/O, format version 2: a 12-byte header (magic, version), a
+// layout frame, then one frame per entry. A frame is [u64 payload
+// bytes][payload][u64 FNV-1a of the length prefix and the payload].
+//
+// WriteManifest publishes the whole journal atomically (temp + rename);
+// it is for a dataset that has no live manifest (a fresh one, or a
+// rebuild after the old one was quarantined). AppendManifestEntry adds one
+// entry frame to the end of the live file and never renames or truncates
+// it. ReadManifest rejects a bad header or any torn or mismatched frame as
+// DATA_LOSS (FAILED_PRECONDITION for another format version); a file cut
+// exactly after a frame reads as the journal up to that frame. All three
+// carry the `dataset.manifest` fault site: delay/error before the write,
+// bitflip/trunc applied to the bytes written (a torn journal lands on
+// disk) or to the bytes read.
 common::Status WriteManifest(const std::string& path, const Manifest& m);
+common::Status AppendManifestEntry(const std::string& path,
+                                   const ManifestEntry& entry);
 common::StatusOr<Manifest> ReadManifest(const std::string& path);
 
 // Knobs of a streaming-generation run. Zero values defer to the

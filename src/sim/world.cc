@@ -150,6 +150,14 @@ World BuildWorld(const SimConfig& config, const WorldOverrides& overrides,
     }
   }
 
+  world.scope_m.assign(kSlotsPerDay, std::vector<double>(num_regions));
+  for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+    for (int u = 0; u < num_regions; ++u) {
+      world.scope_m[slot][u] =
+          config.base_scope_m * world.scope_factor(slot, u);
+    }
+  }
+
   // Courier ids homed per region: courier k belongs to the region where it
   // mostly works; ids are dealt out proportionally to allocation at noon.
   world.courier_pool.assign(num_regions, {});
@@ -222,7 +230,10 @@ CandidateIndex BuildCandidates(const World& world, int region_begin,
       [&](int64_t i) {
         auto& by_type = index.by_region_type[i];
         for_each_in_scope(i, [&](size_t si, double d) {
-          by_type[world.stores[si].type].push_back({static_cast<int>(si), d});
+          const Store& store = world.stores[si];
+          by_type[store.type].push_back(
+              {static_cast<int>(si), store.region, d,
+               store.quality * std::exp(-d / 2400.0)});
         });
       },
       nullptr, "sim.fill_candidates");
@@ -245,12 +256,15 @@ std::vector<CategoricalTable> TypeChoiceTables(const World& world,
 }
 
 // Draws one customer order attempt in `region` at (day, slot) from `rng`.
-// `type_choice` is TypeChoiceTables(world, region)[slot]. Returns true and
-// fills `order` (order_id 0) when the attempt converts; false when the
-// customer walks away.
+// `type_choice` is TypeChoiceTables(world, region)[slot]; `weights` and
+// `cand_idx` are scratch buffers the caller reuses across attempts.
+// Returns true and fills `order` (order_id 0) when the attempt converts;
+// false when the customer walks away.
 bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
                         const CategoricalTable& type_choice, int day,
-                        int slot, int region, Rng& rng, Order* order) {
+                        int slot, int region, Rng& rng,
+                        std::vector<double>& weights,
+                        std::vector<int>& cand_idx, Order* order) {
   const SimConfig& config = world.config;
   const bool open_data = config.preset == SimulationPreset::kOpenData;
   const double keep_prob = open_data ? 0.45 : 1.0;
@@ -267,20 +281,15 @@ bool SampleOrderAttempt(const World& world, const CandidateIndex& index,
   const std::vector<TypedCandidate>& typed =
       index.by_region_type[u - index.region_begin][type];
   double best_weight_sum = 0.0;
-  std::vector<double> weights;
-  std::vector<int> cand_idx;
-  weights.reserve(8);
-  cand_idx.reserve(8);
+  weights.clear();
+  cand_idx.clear();
+  const std::vector<double>& scope_m = world.scope_m[slot];
   for (size_t ci = 0; ci < typed.size(); ++ci) {
     const TypedCandidate& cand = typed[ci];
-    const Store& store = world.stores[cand.store_index];
-    const double scope =
-        config.base_scope_m * world.scope_factor(slot, store.region);
-    if (cand.distance_m > scope) continue;
-    const double w = store.quality * std::exp(-cand.distance_m / 2400.0);
-    weights.push_back(w);
+    if (cand.distance_m > scope_m[cand.store_region]) continue;
+    weights.push_back(cand.weight);
     cand_idx.push_back(static_cast<int>(ci));
-    best_weight_sum += w;
+    best_weight_sum += cand.weight;
   }
   if (weights.empty() || best_weight_sum <= 0.0) return false;
   const TypedCandidate& cand = typed[cand_idx[rng.Categorical(weights)]];
@@ -376,6 +385,8 @@ uint32_t DrawRegionDay(const World& world, const CandidateIndex& index,
   const std::vector<CategoricalTable> type_choice =
       TypeChoiceTables(world, region);
   uint32_t slots_with_attempts = 0;
+  std::vector<double> weights;
+  std::vector<int> cand_idx;
   for (int slot = 0; slot < kSlotsPerDay; ++slot) {
     const double jitter = rng.Uniform(0.85, 1.15);
     const int attempts =
@@ -384,7 +395,7 @@ uint32_t DrawRegionDay(const World& world, const CandidateIndex& index,
     for (int k = 0; k < attempts; ++k) {
       Order order;
       if (SampleOrderAttempt(world, index, type_choice[slot], day, slot,
-                             region, rng, &order)) {
+                             region, rng, weights, cand_idx, &order)) {
         emit(order);
       }
     }

@@ -1,5 +1,8 @@
 #include "common/fault.h"
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -214,6 +217,77 @@ TEST_F(GlobalFaultTest, SerializeReadCorruptionNeverEscapesValidation) {
   const auto payload = nn::ReadContainerFile(path, "O2SRTEST", 1);
   ASSERT_TRUE(payload.ok()) << payload.status();
   EXPECT_EQ(payload->size(), 256u);
+}
+
+// --- Real write failures in nn/serialize -------------------------------
+
+// Caps this process's file size at `bytes` with SIGXFSZ ignored, so a
+// write past the cap fails with EFBIG instead of killing the process. The
+// destructor restores the limit and the signal disposition.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved_limit_;
+    capped.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  ~FileSizeLimit() {
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_limit_), 0);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+
+ private:
+  rlimit saved_limit_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
+
+// A 3000-byte artifact fits stdio's buffer whole, so a write past the
+// file-size cap fails only at the final flush in fclose. The publish must
+// fail and leave the previous artifact's bytes in place.
+TEST(SerializeWriteTest, FailedFinalFlushKeepsTheOldArtifact) {
+  const std::string path = TempPath("flush_fail.bin");
+  const std::string good(3000, 'g');
+  ASSERT_TRUE(nn::WriteFileAtomic(path, good).ok());
+  Status replaced;
+  {
+    // Checked after the limit is lifted, so a failure message is never
+    // itself cut off by the cap.
+    FileSizeLimit limit(1000);
+    replaced = nn::WriteFileAtomic(path, std::string(3000, 'n'));
+  }
+  EXPECT_EQ(replaced.code(), StatusCode::kUnavailable) << replaced;
+  std::string bytes;
+  ASSERT_TRUE(nn::ReadFileToString(path, &bytes).ok());
+  EXPECT_EQ(bytes, good);
+  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
+  EXPECT_EQ(tmp, nullptr) << "the short temp file must be removed";
+  if (tmp != nullptr) std::fclose(tmp);
+}
+
+// An append past the cap fails the same way and leaves the file's bytes
+// alone; an append to a missing file is NOT_FOUND and creates nothing.
+TEST(SerializeWriteTest, FailedAppendIsReported) {
+  const std::string path = TempPath("append_fail.bin");
+  const std::string good(3000, 'g');
+  ASSERT_TRUE(nn::WriteFileAtomic(path, good).ok());
+  Status appended;
+  {
+    FileSizeLimit limit(1000);
+    appended = nn::AppendToFile(path, std::string(64, 'a'));
+  }
+  EXPECT_EQ(appended.code(), StatusCode::kUnavailable) << appended;
+  std::string bytes;
+  ASSERT_TRUE(nn::ReadFileToString(path, &bytes).ok());
+  EXPECT_EQ(bytes, good);
+
+  const std::string missing = TempPath("append_missing.bin");
+  std::remove(missing.c_str());
+  EXPECT_EQ(nn::AppendToFile(missing, "frame").code(), StatusCode::kNotFound);
+  std::FILE* f = std::fopen(missing.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << "an append must not create the file";
+  if (f != nullptr) std::fclose(f);
 }
 
 // --- Injection sites in nn/checkpoint ----------------------------------

@@ -1,5 +1,9 @@
 #include "sim/stream.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -17,6 +21,7 @@
 #include "features/stream_aggregate.h"
 #include "graphs/hetero_graph.h"
 #include "graphs/mobility_graph.h"
+#include "nn/serialize.h"
 #include "sim/world.h"
 
 namespace o2sr::sim {
@@ -42,7 +47,12 @@ std::string ReadFileBytes(const std::string& path) {
   return out;
 }
 
+// Replaces the file with a new one rather than truncating it in place: on
+// ext4, closing a file truncated and rewritten in place waits for a
+// journal commit (tens of ms), which the exhaustive tests below would pay
+// hundreds of times.
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::remove(path.c_str());
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
   std::fwrite(bytes.data(), 1, bytes.size(), f);
@@ -95,6 +105,109 @@ uint64_t StrictFingerprint(const SimConfig& config, const std::string& dir,
   auto stats = features::AggregateSpill(*reader, report);
   EXPECT_TRUE(stats.ok()) << stats.status();
   return stats.ok() ? features::FingerprintOrderStats(*stats) : 0;
+}
+
+// A journal of the layout frame plus `entries` entry frames.
+Manifest SampleManifest(int entries) {
+  Manifest m;
+  m.config_hash = 0xfeedfacecafebeefULL;
+  m.block_regions = 4;
+  m.num_blocks = 4;
+  m.epochs = 3;
+  m.num_regions = 16;
+  for (int i = 0; i < entries; ++i) {
+    ManifestEntry e;
+    e.filename = ShardFileName(i, 1);
+    e.info.block = i;
+    e.info.epoch = 1;
+    e.info.region_begin = 4 * i;
+    e.info.region_end = 4 * i + 4;
+    e.info.num_regions = 16;
+    e.info.config_hash = m.config_hash;
+    e.info.rows = 100 + i;
+    e.info.payload_fnv = 0x0123456789abcdefULL + i;
+    m.entries.push_back(e);
+  }
+  return m;
+}
+
+// The bytes WriteManifest publishes for `m`.
+std::string ManifestBytes(const Manifest& m, const std::string& path) {
+  EXPECT_TRUE(WriteManifest(path, m).ok());
+  return ReadFileBytes(path);
+}
+
+// Flip ONE bit at EVERY byte offset of a 3-frame journal: the header, each
+// frame's length prefix, payload and checksum. Every variant is rejected,
+// as FAILED_PRECONDITION when the flip lands in the version field and
+// DATA_LOSS everywhere else.
+TEST(ManifestFormatTest, BitflipAtEveryByteOffsetIsDetected) {
+  const std::string dir = FreshDir("manifest_bitflip");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/" + kManifestFileName;
+  const std::string bytes = ManifestBytes(SampleManifest(2), path);
+  ASSERT_TRUE(ReadManifest(path).ok());
+  for (size_t offset = 0; offset < bytes.size(); ++offset) {
+    std::string mutated = bytes;
+    mutated[offset] = static_cast<char>(mutated[offset] ^ 0x10);
+    WriteFileBytes(path, mutated);
+    const common::Status s = ReadManifest(path).status();
+    const bool version_field = offset >= 8 && offset < 12;
+    EXPECT_EQ(s.code(), version_field ? StatusCode::kFailedPrecondition
+                                      : StatusCode::kDataLoss)
+        << "bitflip at byte " << offset << ": " << s.ToString();
+  }
+}
+
+// Every truncation is DATA_LOSS except a cut that ends exactly on a frame
+// boundary after the layout frame: that is the journal as it stood before
+// the later publishes, with exactly that many entries.
+TEST(ManifestFormatTest, TruncationIsDetectedExceptOnFrameBoundaries) {
+  const std::string dir = FreshDir("manifest_trunc");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/" + kManifestFileName;
+  const Manifest full = SampleManifest(2);
+  const std::string bytes = ManifestBytes(full, path);
+  // Appending only ever extends the file: the journal after k publishes is
+  // a prefix of the journal after k + 1.
+  std::vector<size_t> boundaries;
+  for (int k = 0; k < 2; ++k) {
+    const std::string earlier = ManifestBytes(SampleManifest(k), path);
+    ASSERT_EQ(bytes.compare(0, earlier.size(), earlier), 0) << k;
+    boundaries.push_back(earlier.size());
+  }
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteFileBytes(path, bytes.substr(0, len));
+    const auto read = ReadManifest(path);
+    const auto boundary =
+        std::find(boundaries.begin(), boundaries.end(), len);
+    if (boundary == boundaries.end()) {
+      EXPECT_EQ(read.status().code(), StatusCode::kDataLoss)
+          << "truncation to " << len << " bytes: " << read.status();
+      continue;
+    }
+    ASSERT_TRUE(read.ok()) << len << ": " << read.status();
+    const size_t entries = boundary - boundaries.begin();
+    ASSERT_EQ(read->entries.size(), entries) << len;
+    EXPECT_EQ(read->config_hash, full.config_hash);
+    for (size_t i = 0; i < entries; ++i) {
+      EXPECT_EQ(read->entries[i].filename, full.entries[i].filename);
+      EXPECT_EQ(read->entries[i].info.payload_fnv,
+                full.entries[i].info.payload_fnv);
+    }
+  }
+}
+
+// A journal that names a cell twice was appended to from a view that did
+// not match the file; it is corrupt, not "last entry wins".
+TEST(ManifestFormatTest, DuplicateCellIsDataLoss) {
+  const std::string dir = FreshDir("manifest_duplicate");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/" + kManifestFileName;
+  const Manifest m = SampleManifest(2);
+  ASSERT_TRUE(WriteManifest(path, m).ok());
+  ASSERT_TRUE(AppendManifestEntry(path, m.entries[0]).ok());
+  EXPECT_EQ(ReadManifest(path).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(StreamGenerateTest, FullRunWritesEveryShardAndJournalsThem) {
@@ -205,6 +318,110 @@ TEST(StreamResumeTest, UnjournaledShardIsRewrittenIdentically) {
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->shards_written, 1);
   EXPECT_EQ(ReadFileBytes(victim), original);
+}
+
+// Every publish appends one frame to the live journal, within a run and
+// across resumes: the manifest keeps its inode (a rename over it would
+// unlink the inode this test holds open) and every byte it had before.
+TEST(StreamResumeTest, PublishesAppendToTheLiveJournal) {
+  const SimConfig config = TinyConfig();
+  const std::string dir = FreshDir("stream_append_only");
+  const std::string path = dir + "/" + kManifestFileName;
+  StreamOptions one = Opts(dir);
+  one.max_shards_per_run = 1;
+  ASSERT_TRUE(StreamGenerate(config, one).ok());
+  const int held = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(held, 0);
+  const auto expect_same_file = [&](const std::string& when) {
+    struct stat open_file, live;
+    ASSERT_EQ(::fstat(held, &open_file), 0);
+    ASSERT_EQ(::stat(path.c_str(), &live), 0);
+    EXPECT_EQ(live.st_ino, open_file.st_ino) << when;
+    EXPECT_EQ(open_file.st_nlink, 1u) << when;
+  };
+
+  std::string before = ReadFileBytes(path);
+  size_t frame_bytes = 0;
+  for (int run = 0; run < 4; ++run) {
+    ASSERT_TRUE(StreamGenerate(config, one).ok());
+    expect_same_file("after one-shard resume " + std::to_string(run));
+    const std::string after = ReadFileBytes(path);
+    ASSERT_GT(after.size(), before.size());
+    EXPECT_EQ(after.compare(0, before.size(), before), 0) << run;
+    if (frame_bytes == 0) frame_bytes = after.size() - before.size();
+    EXPECT_EQ(after.size() - before.size(), frame_bytes) << run;
+    before = after;
+  }
+
+  const auto rest = StreamGenerate(config, Opts(dir));
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_EQ(rest->shards_written, 7);
+  expect_same_file("after a run of 7 publishes");
+  const std::string final_bytes = ReadFileBytes(path);
+  EXPECT_EQ(final_bytes.compare(0, before.size(), before), 0);
+  EXPECT_EQ(final_bytes.size(), before.size() + 7 * frame_bytes);
+  ::close(held);
+}
+
+// A kill mid-append leaves a torn last frame. At any partial length the
+// journal is corrupt: the resume quarantines it and rebuilds it from the
+// shards, all of which are intact, so nothing is regenerated and the
+// rebuilt journal is byte-identical to the clean one. A cut exactly at the
+// frame's start is the journal before that publish: its shard is on disk
+// but unjournaled, so exactly that one shard is regenerated.
+TEST(StreamResumeTest, TornLastJournalFrameResumesWithoutRegenerating) {
+  const SimConfig config = TinyConfig();
+  const std::string ref_dir = FreshDir("stream_torn_ref");
+  ASSERT_TRUE(StreamGenerate(config, Opts(ref_dir)).ok());
+  const uint64_t clean = AggregateFingerprint(config, ref_dir);
+  const std::string journal =
+      ReadFileBytes(ref_dir + "/" + kManifestFileName);
+
+  const std::string dir = FreshDir("stream_torn");
+  std::filesystem::copy(ref_dir, dir);
+  const std::string path = dir + "/" + kManifestFileName;
+  auto manifest = ReadManifest(path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  manifest->entries.pop_back();
+  ASSERT_TRUE(WriteManifest(path, *manifest).ok());
+  const size_t last_frame = ReadFileBytes(path).size();
+  ASSERT_LT(last_frame, journal.size());
+  ASSERT_EQ(journal.compare(0, last_frame, ReadFileBytes(path)), 0);
+
+  const auto expect_clean_shards = [&](const std::string& when) {
+    for (int block = 0; block < 4; ++block) {
+      for (int epoch = 0; epoch < config.num_days; ++epoch) {
+        const std::string name = ShardFileName(block, epoch);
+        EXPECT_EQ(ReadFileBytes(dir + "/" + name),
+                  ReadFileBytes(ref_dir + "/" + name))
+            << name << " " << when;
+      }
+    }
+    EXPECT_EQ(AggregateFingerprint(config, dir), clean) << when;
+  };
+
+  for (size_t len = last_frame + 1; len < journal.size(); ++len) {
+    // A fresh quarantine each time, so the move below never replaces a file.
+    std::filesystem::remove_all(dir + "/.quarantine");
+    WriteFileBytes(path, journal.substr(0, len));
+    const auto resumed = StreamGenerate(config, Opts(dir));
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_EQ(resumed->quarantined, 1) << len;  // the torn journal only
+    EXPECT_EQ(resumed->shards_written, 0) << len;
+    EXPECT_EQ(ReadFileBytes(path), journal) << len;
+    EXPECT_EQ(ReadFileBytes(dir + "/.quarantine/" +
+                            std::string(kManifestFileName)),
+              journal.substr(0, len));
+  }
+  expect_clean_shards("after the torn-frame resumes");
+
+  WriteFileBytes(path, journal.substr(0, last_frame));
+  const auto resumed = StreamGenerate(config, Opts(dir));
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->quarantined, 0);
+  EXPECT_EQ(resumed->shards_written, 1);
+  EXPECT_EQ(ReadFileBytes(path), journal);
+  expect_clean_shards("after the frame-boundary resume");
 }
 
 // Blocking is pure I/O batching: different block sizes (and hence memory
@@ -360,6 +577,34 @@ TEST(StreamReaderTest, CorruptManifestIsQuarantinedAndRebuiltFromShards) {
                                       std::string(kManifestFileName)));
   // The heal-write left a valid journal behind.
   EXPECT_TRUE(ReadManifest(manifest_path).ok());
+}
+
+// A version-1 manifest (one container rewritten on every publish) is intact
+// but from an older writer: kStrict refuses it, and the default policy
+// quarantines it and rebuilds the journal from the shards.
+TEST(StreamReaderTest, VersionOneManifestIsRefusedStrictAndRebuiltByDefault) {
+  const SimConfig config = TinyConfig();
+  const std::string dir = FreshDir("stream_manifest_v1");
+  ASSERT_TRUE(StreamGenerate(config, Opts(dir)).ok());
+  const uint64_t clean = AggregateFingerprint(config, dir);
+  const std::string path = dir + "/" + kManifestFileName;
+  const std::string journal = ReadFileBytes(path);
+  ASSERT_TRUE(
+      nn::WriteContainerFile(path, kManifestMagic, 1, "v1 payload").ok());
+
+  EXPECT_EQ(ReadManifest(path).status().code(),
+            StatusCode::kFailedPrecondition);
+  SpillReadOptions strict;
+  strict.policy = SpillReadPolicy::kStrict;
+  EXPECT_EQ(DatasetReader::Open(config, dir, strict).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  SpillReadReport report;
+  EXPECT_EQ(AggregateFingerprint(config, dir, &report), clean);
+  EXPECT_EQ(report.regenerated, 0);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/.quarantine/" +
+                                      std::string(kManifestFileName)));
+  EXPECT_EQ(ReadFileBytes(path), journal);
 }
 
 TEST(StreamReaderTest, GeneratorResumesThroughACorruptManifestToo) {
@@ -595,7 +840,9 @@ TEST(StreamParallelTest, CandidatesAreIdenticalAtAnyLaneCount) {
         ASSERT_EQ(got[t].size(), want[t].size()) << begin + i << "/" << t;
         for (size_t c = 0; c < want[t].size(); ++c) {
           EXPECT_EQ(got[t][c].store_index, want[t][c].store_index);
+          EXPECT_EQ(got[t][c].store_region, want[t][c].store_region);
           EXPECT_EQ(got[t][c].distance_m, want[t][c].distance_m);
+          EXPECT_EQ(got[t][c].weight, want[t][c].weight);
         }
         candidates += want[t].size();
       }
