@@ -6,10 +6,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/env.h"
 #include "common/table_printer.h"
 #include "core/o2siterec_recommender.h"
 #include "exec/thread_pool.h"
-#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/profiler.h"
@@ -25,11 +25,9 @@
 namespace o2sr::bench {
 
 Scale CurrentScale() {
-  // EnvChoice is fatal on unknown values, listing the accepted set — an
-  // O2SR_BENCH_SCALE typo must not silently record "standard" numbers
-  // under the wrong label.
-  static const Scale scale = static_cast<Scale>(obs::EnvChoice(
-      "O2SR_BENCH_SCALE", {"small", "standard", "paper"}, /*fallback=*/1));
+  // O2SR_BENCH_SCALE's choices are the Scale names in enum order.
+  static const Scale scale =
+      static_cast<Scale>(common::EnvChoice(common::Knob::kBenchScale));
   return scale;
 }
 

@@ -16,7 +16,7 @@
 
 namespace o2sr::bench {
 
-// Bench scale, selected by the O2SR_BENCH_SCALE environment variable:
+// Bench scale, selected by the O2SR_BENCH_SCALE knob:
 //   "small"    - quick shape check (~4x faster, noisier numbers)
 //   "standard" - default; the numbers recorded in EXPERIMENTS.md
 //   "paper"    - the paper's workload (39,465 stores / 23.6M orders);

@@ -24,10 +24,10 @@
 
 #include "bench_common.h"
 #include "common/check.h"
+#include "common/env.h"
 #include "features/stream_aggregate.h"
 #include "graphs/hetero_graph.h"
 #include "graphs/mobility_graph.h"
-#include "obs/env.h"
 #include "obs/trace.h"
 #include "sim/stream.h"
 #include "sim/world.h"
@@ -90,8 +90,8 @@ int main() {
   const sim::SimConfig config = ScaleConfig(scale);
 
   sim::StreamOptions options;
-  options.data_dir = obs::EnvString(
-      "O2SR_DATA_DIR",
+  options.data_dir = common::EnvString(
+      common::Knob::kDataDir,
       std::string("bench_scale_data_") + bench::ScaleName(scale));
 
   using clock = std::chrono::steady_clock;

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "core/o2siterec_recommender.h"
 #include "obs/metrics.h"
@@ -390,7 +391,8 @@ int main() {
   // registry; {1, 2, 4} closed-loop driver threads round-robin batched
   // requests across them.
   constexpr int kTenants = 4;
-  const int batch = serve::ServingEngine::BatchSizeFromEnv(16);
+  const int batch =
+      static_cast<int>(common::EnvInt(common::Knob::kServeBatch, 16));
   const uint64_t base_queries =
       scale == bench::Scale::kSmall ? 6000 : 150000;
 

@@ -11,6 +11,27 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
+echo "=== Knob smoke: a misspelled or out-of-list O2SR_* variable is fatal ==="
+# Each run must exit non-zero before doing any work and name the variable
+# on stderr (the knob table in src/common/env.cc refuses unknown names and
+# words outside a choice list).
+KNOB_DIR="$(mktemp -d)"
+for knob in O2SR_THREAD=4 O2SR_SIMD=avx3; do
+  if KNOB_ERR="$(cd "${KNOB_DIR}" && env O2SR_BENCH_SCALE=small "${knob}" \
+       "${OLDPWD}/build/bench/bench_fig01_supply_demand" 2>&1 >/dev/null)"
+  then
+    echo "knob smoke: ${knob} ran instead of failing" >&2
+    exit 1
+  fi
+  if ! grep -q "${knob%%=*}=" <<<"${KNOB_ERR}"; then
+    echo "knob smoke: ${knob} failed without naming ${knob%%=*}:" >&2
+    echo "${KNOB_ERR}" >&2
+    exit 1
+  fi
+done
+rm -rf "${KNOB_DIR}"
+echo "knob smoke: O2SR_THREAD=4 and O2SR_SIMD=avx3 refused"
+
 echo "=== Bench smoke (small scale, machine-readable output) ==="
 # The fastest bench binary at small scale; validates that the BENCH_*.json
 # artifact is well-formed and carries the keys the perf trajectory relies

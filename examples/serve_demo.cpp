@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.h"
 #include "common/status.h"
 #include "core/o2siterec_recommender.h"
 #include "eval/experiment.h"
@@ -404,7 +405,8 @@ int Tenants(const std::string& snapshot_path) {
   constexpr int kTenants = 4;
   constexpr int kDrivers = 4;
   constexpr int kSwaps = 6;
-  const int batch = serve::ServingEngine::BatchSizeFromEnv(8);
+  const int batch =
+      static_cast<int>(common::EnvInt(common::Knob::kServeBatch, 8));
 
   serve::TenantRegistry registry;
   for (int i = 0; i < kTenants; ++i) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/rng.h"
 
 namespace o2sr::common {
@@ -171,8 +172,7 @@ FaultInjector& FaultInjector::Global() {
   std::lock_guard<std::mutex> lock(g_swap_mutex);
   current = g_current.load(std::memory_order_acquire);
   if (current == nullptr) {
-    const char* env = std::getenv("O2SR_FAULTS");
-    auto parsed = Parse(env != nullptr ? env : "");
+    auto parsed = Parse(EnvString(Knob::kFaults));
     O2SR_CHECK_OK(parsed.status());
     PublishGlobal(std::move(parsed).value());
     current = g_current.load(std::memory_order_acquire);

@@ -16,7 +16,7 @@ namespace o2sr::common {
 //
 // Production code threads *injection points* — named sites — through its
 // failure-prone paths (file reads, scoring, cache lookups); a fault *recipe*
-// parsed from the O2SR_FAULTS environment variable decides which sites
+// parsed from the O2SR_FAULTS knob (common/env.h) decides which sites
 // misbehave and how:
 //
 //   O2SR_FAULTS="seed=7,snapshot.read=bitflip:0.01,score=delay:5ms,score=error:0.02"

@@ -39,7 +39,7 @@ struct RetryPolicy {
   // Seed of the jitter stream (mixed with the operation name and attempt).
   uint64_t seed = 0;
   // Which failures are worth retrying. Null selects the default predicate:
-  // UNAVAILABLE (transient environment), ABORTED (giving up may help),
+  // UNAVAILABLE (transient I/O failure), ABORTED (giving up may help),
   // DATA_LOSS (a re-read redraws past transient corruption) and
   // RESOURCE_EXHAUSTED (a budget that may clear). Everything else —
   // contract violations, missing files — fails fast.

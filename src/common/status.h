@@ -26,7 +26,7 @@ enum class StatusCode {
   kDataLoss,            // unrecoverable corruption (bad checksum, truncation)
   kResourceExhausted,   // a budget (retries, capacity) ran out
   kAborted,             // operation gave up; retrying may help
-  kUnavailable,         // transient environment failure (I/O error)
+  kUnavailable,         // transient I/O failure
   kInternal,            // invariant broke in a recoverable context
   kUnimplemented,       // the operation is not supported by this type
 };

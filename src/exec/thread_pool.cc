@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "common/check.h"
-#include "obs/env.h"
+#include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -37,9 +37,8 @@ int64_t NowMicros() {
 int NumThreadsFromEnv() {
   const unsigned hw = std::thread::hardware_concurrency();
   const int fallback = hw == 0 ? 1 : static_cast<int>(std::min(hw, 256u));
-  // 0 means "auto" (hardware concurrency), so the range opens at 0 and the
-  // sentinel maps to the fallback instead of being clamped to one thread.
-  const int64_t value = obs::EnvInt("O2SR_THREADS", fallback, 0, 256);
+  // 0 (the default) means "auto", not a clamp to one thread.
+  const int64_t value = common::EnvInt(common::Knob::kThreads);
   return value == 0 ? fallback : static_cast<int>(value);
 }
 

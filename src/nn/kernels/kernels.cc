@@ -1,9 +1,7 @@
 #include "nn/kernels/kernels.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/check.h"
+#include "common/env.h"
 
 namespace o2sr::nn::kernels {
 
@@ -22,21 +20,17 @@ bool CpuHasAvx2() {
 }
 
 Simd ResolveSimd() {
-  const char* env = std::getenv("O2SR_SIMD");
+  // O2SR_SIMD's choices, in order: auto|avx2|scalar|off.
+  const int choice = common::EnvChoice(common::Knob::kSimd);
 #ifdef O2SR_HAVE_AVX2_TU
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "auto") == 0) {
-    return CpuHasAvx2() ? Simd::kAvx2 : Simd::kScalar;
-  }
-  if (std::strcmp(env, "avx2") == 0) {
+  if (choice == 0) return CpuHasAvx2() ? Simd::kAvx2 : Simd::kScalar;
+  if (choice == 1) {
     O2SR_CHECK(CpuHasAvx2());  // forcing AVX2 on a CPU without it
     return Simd::kAvx2;
   }
 #else
-  if (env != nullptr && std::strcmp(env, "avx2") == 0) {
-    O2SR_CHECK(false);  // this build has no AVX2 kernel TU
-  }
+  O2SR_CHECK(choice != 1);  // this build has no AVX2 kernel TU
 #endif
-  // "off", "scalar", or anything unrecognized: the safe baseline.
   return Simd::kScalar;
 }
 

@@ -1,10 +1,10 @@
 #include "nn/plan.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "exec/thread_pool.h"
 
 namespace o2sr::nn {
@@ -157,12 +157,8 @@ void PlanCache::Clear() {
 }
 
 bool PlanEnabledFromEnv() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("O2SR_PLAN");
-    if (env == nullptr || *env == '\0') return true;
-    return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0 &&
-           std::strcmp(env, "eager") != 0;
-  }();
+  // O2SR_PLAN's choices, in order: on|1|off|0|eager.
+  static const bool enabled = common::EnvChoice(common::Knob::kPlan) < 2;
   return enabled;
 }
 

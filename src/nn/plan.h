@@ -97,7 +97,8 @@ class PlanCache {
 };
 
 // True when O2SR_PLAN enables the planned executor (default on; "off",
-// "0" and "eager" select the bit-identical eager reference path).
+// "0" and "eager" select the bit-identical eager reference path). Read
+// once per process.
 bool PlanEnabledFromEnv();
 
 namespace detail {

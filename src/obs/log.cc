@@ -2,9 +2,10 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
+
+#include "common/env.h"
 
 namespace o2sr::obs {
 
@@ -20,22 +21,10 @@ LogSink& SinkStorage() {
   return sink;
 }
 
-LogLevel LevelFromEnv() {
-  const char* env = std::getenv("O2SR_LOG_LEVEL");
-  if (env != nullptr) {
-    if (const auto parsed = ParseLogLevel(env); parsed.has_value()) {
-      return *parsed;
-    }
-    std::fprintf(stderr,
-                 "[W log.cc] unknown O2SR_LOG_LEVEL '%s' "
-                 "(expected debug|info|warning|error|off); using info\n",
-                 env);
-  }
-  return LogLevel::kInfo;
-}
-
 std::atomic<LogLevel>& MinLevelStorage() {
-  static std::atomic<LogLevel> level{LevelFromEnv()};
+  // O2SR_LOG_LEVEL's choices are the LogLevel names in enum order.
+  static std::atomic<LogLevel> level{
+      static_cast<LogLevel>(common::EnvChoice(common::Knob::kLogLevel))};
   return level;
 }
 
@@ -55,14 +44,6 @@ const char* LogLevelName(LogLevel level) {
     case LogLevel::kOff: return "off";
   }
   return "?";
-}
-
-std::optional<LogLevel> ParseLogLevel(const std::string& name) {
-  for (LogLevel level : {LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarning,
-                         LogLevel::kError, LogLevel::kOff}) {
-    if (name == LogLevelName(level)) return level;
-  }
-  return std::nullopt;
 }
 
 LogLevel MinLogLevel() {

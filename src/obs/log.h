@@ -2,7 +2,6 @@
 #define O2SR_OBS_LOG_H_
 
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -14,10 +13,11 @@ namespace o2sr::obs {
 //
 //   O2SR_LOG(INFO) << "resumed from '" << path << "' at epoch " << epoch;
 //
-// The minimum emitted level comes from the O2SR_LOG_LEVEL environment
-// variable (debug|info|warning|error|off, read once on first use; default
-// info) and can be overridden programmatically with SetMinLogLevel. The
-// stream expression after a suppressed O2SR_LOG is never evaluated.
+// The minimum emitted level comes from the O2SR_LOG_LEVEL knob
+// (debug|info|warning|error|off, read once on first use; default info;
+// any other value is fatal) and can be overridden programmatically with
+// SetMinLogLevel. The stream expression after a suppressed O2SR_LOG is
+// never evaluated.
 //
 // Default sink: one line per message on stderr,
 // `[I trainer.cc:131] message`. Tests swap the sink with SetLogSink.
@@ -32,8 +32,6 @@ enum class LogLevel {
 
 // "debug".."error"/"off" (lower case, as accepted by O2SR_LOG_LEVEL).
 const char* LogLevelName(LogLevel level);
-// Parses a O2SR_LOG_LEVEL value; empty optional on an unknown name.
-std::optional<LogLevel> ParseLogLevel(const std::string& name);
 
 // Current threshold (first call reads O2SR_LOG_LEVEL).
 LogLevel MinLogLevel();

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "obs/json.h"
 
 namespace o2sr::obs {
@@ -74,10 +75,11 @@ const std::vector<double>& DefaultLatencyBucketsMs() {
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = [] {
     auto* r = new MetricsRegistry();
-    if (std::getenv("O2SR_METRICS_FILE") != nullptr) {
+    if (!common::EnvString(common::Knob::kMetricsFile).empty()) {
       std::atexit([] {
-        const char* path = std::getenv("O2SR_METRICS_FILE");
-        if (path == nullptr) return;
+        const std::string path =
+            common::EnvString(common::Knob::kMetricsFile);
+        if (path.empty()) return;
         const common::Status st = Global().WriteJson(path);
         if (!st.ok()) {
           std::fprintf(stderr, "[W metrics.cc] %s\n", st.ToString().c_str());

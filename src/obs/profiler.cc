@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/env.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -30,11 +31,11 @@ double RegionProfile::Efficiency() const {
 Profiler& Profiler::Global() {
   static Profiler* profiler = [] {
     auto* p = new Profiler();
-    if (std::getenv("O2SR_PROFILE_FILE") != nullptr) {
+    if (!common::EnvString(common::Knob::kProfileFile).empty()) {
       p->Enable(true);
       std::atexit([] {
-        const char* path = std::getenv("O2SR_PROFILE_FILE");
-        if (path == nullptr) return;
+        const std::string path = common::EnvString(common::Knob::kProfileFile);
+        if (path.empty()) return;
         const common::Status st = Global().WriteReport(path);
         if (!st.ok()) {
           std::fprintf(stderr, "[W profiler.cc] %s\n",

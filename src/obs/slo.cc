@@ -1,9 +1,7 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "obs/env.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -21,17 +19,6 @@ double QuantileSorted(const std::vector<double>& sorted, double q) {
 }
 
 }  // namespace
-
-SloConfig SloConfig::FromEnv() {
-  SloConfig config;
-  // Out-of-range values revert to the defaults (an SLO clamped to an
-  // absurd bound would be worse than the default), with a warning.
-  config.slo_ms = EnvDouble("O2SR_SERVE_SLO_MS", config.slo_ms, 1e-6, 1e9,
-                            EnvRangePolicy::kFallback);
-  config.target = EnvDouble("O2SR_SERVE_SLO_TARGET", config.target, 1e-6,
-                            1.0 - 1e-9, EnvRangePolicy::kFallback);
-  return config;
-}
 
 std::string SloSnapshot::ToJson() const {
   std::string out = "{";

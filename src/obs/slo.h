@@ -35,11 +35,6 @@ struct SloConfig {
   double slo_ms = 50.0;   // per-request latency objective
   double target = 0.99;   // good-request fraction the SLO promises, (0, 1)
   size_t window = 512;    // rolling window size in requests
-
-  // O2SR_SERVE_SLO_MS / O2SR_SERVE_SLO_TARGET over the defaults above.
-  // Out-of-range values (non-positive ms, target outside (0, 1)) are
-  // ignored.
-  static SloConfig FromEnv();
 };
 
 // One finished request as the monitor sees it. A shed request still
@@ -82,7 +77,7 @@ class SloMonitor {
   // `metrics_prefix`, when non-empty, registers three gauges updated on
   // every Record: <prefix>.burn_rate, <prefix>.bad_fraction and
   // <prefix>.breached (0/1).
-  explicit SloMonitor(const SloConfig& config = SloConfig::FromEnv(),
+  explicit SloMonitor(const SloConfig& config,
                       const std::string& metrics_prefix = "");
   SloMonitor(const SloMonitor&) = delete;
   SloMonitor& operator=(const SloMonitor&) = delete;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "obs/json.h"
 
 namespace o2sr::obs {
@@ -39,10 +40,10 @@ TraceRecorder::TraceRecorder(Clock clock) : clock_(std::move(clock)) {
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder* recorder = [] {
     auto* r = new TraceRecorder();
-    if (std::getenv("O2SR_TRACE_FILE") != nullptr) {
+    if (!common::EnvString(common::Knob::kTraceFile).empty()) {
       std::atexit([] {
-        const char* path = std::getenv("O2SR_TRACE_FILE");
-        if (path == nullptr) return;
+        const std::string path = common::EnvString(common::Knob::kTraceFile);
+        if (path.empty()) return;
         const common::Status st = Global().WriteChromeTrace(path);
         if (!st.ok()) {
           std::fprintf(stderr, "[W trace.cc] %s\n", st.ToString().c_str());

@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "eval/experiment.h"
-#include "obs/env.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "serve/snapshot.h"
@@ -39,14 +39,14 @@ obs::Counter* CounterOf(const char* name) {
 
 void ApplyPipelineEnv(PipelineOptions* options) {
   O2SR_CHECK(options != nullptr);
-  options->work_dir = obs::EnvString("O2SR_PIPELINE_DIR", options->work_dir);
+  using common::Knob;
+  options->work_dir = common::EnvString(Knob::kPipelineDir, options->work_dir);
   options->cycles = static_cast<int>(
-      obs::EnvInt("O2SR_PIPELINE_CYCLES", options->cycles, 1, 1000000000));
-  options->retry.max_attempts = static_cast<int>(obs::EnvInt(
-      "O2SR_PIPELINE_RETRIES", options->retry.max_attempts, 1, 1000000));
-  options->retry.initial_backoff_ms =
-      obs::EnvDouble("O2SR_PIPELINE_BACKOFF_MS",
-                     options->retry.initial_backoff_ms, 0.0, 1e12);
+      common::EnvInt(Knob::kPipelineCycles, options->cycles));
+  options->retry.max_attempts = static_cast<int>(
+      common::EnvInt(Knob::kPipelineRetries, options->retry.max_attempts));
+  options->retry.initial_backoff_ms = common::EnvDouble(
+      Knob::kPipelineBackoffMs, options->retry.initial_backoff_ms);
 }
 
 struct ContinualPipeline::CycleWorld {

@@ -83,8 +83,8 @@ struct PipelineOptions {
   int64_t max_transitions = -1;
 };
 
-// Fills `options` from the O2SR_PIPELINE_* environment knobs listed above
-// (unset knobs leave the current value).
+// Fills `options` from the O2SR_PIPELINE_* knobs listed above (unset
+// knobs leave the current value).
 void ApplyPipelineEnv(PipelineOptions* options);
 
 // What one Run() actually did.

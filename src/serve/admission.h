@@ -3,9 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-
-#include "obs/env.h"
 
 namespace o2sr::serve {
 
@@ -23,13 +20,6 @@ class AdmissionController {
   // `max_inflight` <= 0 means unbounded (admission always succeeds).
   explicit AdmissionController(int64_t max_inflight)
       : max_inflight_(max_inflight) {}
-
-  // High-water override from O2SR_SERVE_MAX_INFLIGHT ("0" = unbounded);
-  // `fallback` when unset. Garbage is fatal (obs::EnvInt).
-  static int64_t MaxInflightFromEnv(int64_t fallback) {
-    return obs::EnvInt("O2SR_SERVE_MAX_INFLIGHT", fallback, 0,
-                       int64_t{1} << 40);
-  }
 
   // True = admitted (caller must Release); false = shed.
   bool TryAdmit() {

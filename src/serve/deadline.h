@@ -2,10 +2,7 @@
 #define O2SR_SERVE_DEADLINE_H_
 
 #include <chrono>
-#include <cstdlib>
 #include <limits>
-
-#include "obs/env.h"
 
 namespace o2sr::serve {
 
@@ -38,13 +35,6 @@ class Deadline {
                                std::chrono::duration<double, std::milli>(
                                    budget_ms));
     return d;
-  }
-
-  // Engine-wide default budget from O2SR_SERVE_DEADLINE_MS; `fallback_ms`
-  // when unset. Non-positive values mean "no deadline" and are accepted;
-  // garbage is fatal (obs::EnvDouble).
-  static double DefaultBudgetMsFromEnv(double fallback_ms) {
-    return obs::EnvDouble("O2SR_SERVE_DEADLINE_MS", fallback_ms, -1e12, 1e12);
   }
 
   bool infinite() const { return infinite_; }

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
+#include "common/env.h"
 #include "common/fault.h"
-#include "obs/env.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "serve/snapshot.h"
@@ -16,26 +15,6 @@
 namespace o2sr::serve {
 
 namespace {
-
-constexpr int64_t kDefaultCacheCapacity = 65536;
-
-// Env-derived SLO config with the per-engine option overrides applied.
-obs::SloConfig ResolveSloConfig(const ServingOptions& options) {
-  obs::SloConfig config = obs::SloConfig::FromEnv();
-  if (options.slo_ms > 0.0) config.slo_ms = options.slo_ms;
-  if (options.slo_target > 0.0 && options.slo_target < 1.0) {
-    config.target = options.slo_target;
-  }
-  return config;
-}
-
-int ResolveNumShards(const ServingOptions& options) {
-  if (options.num_shards > 0) return std::min(options.num_shards, 64);
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int fallback = std::clamp<int>(hw == 0 ? 1 : static_cast<int>(hw),
-                                       1, 16);
-  return ServingEngine::ShardsFromEnv(fallback);
-}
 
 bool BetterRanked(const RankedSite& a, const RankedSite& b) {
   if (a.score != b.score) return a.score > b.score;
@@ -154,25 +133,40 @@ PopularityPrior BuildPopularityPrior(
   return prior;
 }
 
-int ServingEngine::ShardsFromEnv(int fallback) {
-  return static_cast<int>(obs::EnvInt("O2SR_SERVE_SHARDS", fallback, 1, 64));
-}
-
-int ServingEngine::BatchSizeFromEnv(int fallback) {
-  return static_cast<int>(obs::EnvInt("O2SR_SERVE_BATCH", fallback, 1, 4096));
+ServingOptions ResolveServingOptions(ServingOptions options) {
+  using common::EnvDouble;
+  using common::EnvInt;
+  using common::Knob;
+  if (options.cache_capacity < 0) {
+    options.cache_capacity = EnvInt(Knob::kServeCache);
+  }
+  if (options.num_shards > 0) {
+    options.num_shards = std::min(options.num_shards, 64);
+  } else {
+    const unsigned hw = std::thread::hardware_concurrency();
+    options.num_shards = static_cast<int>(EnvInt(
+        Knob::kServeShards,
+        std::clamp<int>(hw == 0 ? 1 : static_cast<int>(hw), 1, 16)));
+  }
+  if (options.max_inflight < 0) {
+    options.max_inflight = EnvInt(Knob::kServeMaxInflight);
+  }
+  if (options.default_deadline_ms < 0) {
+    options.default_deadline_ms = EnvDouble(Knob::kServeDeadlineMs);
+  }
+  if (!(options.slo_ms > 0.0)) options.slo_ms = EnvDouble(Knob::kServeSloMs);
+  if (!(options.slo_target > 0.0 && options.slo_target < 1.0)) {
+    options.slo_target = EnvDouble(Knob::kServeSloTarget);
+  }
+  return options;
 }
 
 ServingEngine::ServingEngine(core::SiteRecommender* model,
                              const ServingOptions& options)
-    : options_(options),
-      admission_(options.max_inflight < 0
-                     ? AdmissionController::MaxInflightFromEnv(0)
-                     : options.max_inflight),
-      default_deadline_ms_(
-          options.default_deadline_ms < 0
-              ? Deadline::DefaultBudgetMsFromEnv(0.0)
-              : options.default_deadline_ms),
-      slo_(ResolveSloConfig(options), options.metrics_prefix + ".slo"),
+    : options_(ResolveServingOptions(options)),
+      admission_(options_.max_inflight),
+      slo_(obs::SloConfig{options_.slo_ms, options_.slo_target},
+           options.metrics_prefix + ".slo"),
       requests_(obs::MetricsRegistry::Global().GetCounter(
           options.metrics_prefix + ".requests")),
       batches_(obs::MetricsRegistry::Global().GetCounter(
@@ -198,16 +192,12 @@ ServingEngine::ServingEngine(core::SiteRecommender* model,
       latency_ms_(obs::MetricsRegistry::Global().GetHistogram(
           options.metrics_prefix + ".rank_latency_ms",
           obs::DefaultLatencyBucketsMs())) {
-  const int64_t capacity =
-      options.cache_capacity < 0
-          ? ScoreCache::CapacityFromEnv(kDefaultCacheCapacity)
-          : options.cache_capacity;
-  const int num_shards = ResolveNumShards(options);
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) {
+  shards_.reserve(static_cast<size_t>(options_.num_shards));
+  for (int i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<EngineShard>();
     shard->cache = std::make_unique<ScoreCache>(
-        capacity, options.cache_shards, options.metrics_prefix + ".cache");
+        options_.cache_capacity, options.cache_shards,
+        options.metrics_prefix + ".cache");
     shards_.push_back(std::move(shard));
   }
   auto active = std::make_shared<Active>();
@@ -531,8 +521,8 @@ common::StatusOr<RankResponse> ServingEngine::RankAdmitted(
     EngineShard& shard, const Active& active, const RankRequest& request,
     Scratch* scratch, std::chrono::steady_clock::time_point start) const {
   Deadline deadline = request.deadline;
-  if (deadline.infinite() && default_deadline_ms_ > 0.0) {
-    deadline = Deadline::AfterMs(default_deadline_ms_);
+  if (deadline.infinite() && options_.default_deadline_ms > 0.0) {
+    deadline = Deadline::AfterMs(options_.default_deadline_ms);
   }
   if (deadline.expired()) {
     return ShedRequest(shard, "deadline expired before admission",

@@ -80,7 +80,7 @@ struct ServingOptions {
   // Front-end shards. Requests hash to a shard by caller thread id, so a
   // given thread always lands on the same shard and single-threaded runs
   // stay bit-deterministic. <= 0 means "O2SR_SERVE_SHARDS, else
-  // hardware_concurrency clamped to [1, 16]".
+  // hardware_concurrency clamped to [1, 16]"; at most 64.
   int num_shards = -1;
   // Pool for scoring cache misses (the model's parallel kernels run under
   // it). Null resolves to exec::CurrentPool() at query time.
@@ -99,9 +99,9 @@ struct ServingOptions {
   PopularityPrior prior;
   // Consecutive fresh-tier responses required to leave DEGRADED.
   int health_recovery_streak = 32;
-  // Serving SLO objective for the engine's SloMonitor. Non-positive values
-  // resolve to O2SR_SERVE_SLO_MS / O2SR_SERVE_SLO_TARGET (defaults 50 ms
-  // latency, 0.99 good fraction).
+  // Serving SLO objective for the engine's SloMonitor. A non-positive
+  // slo_ms, or a slo_target outside (0, 1), resolves to O2SR_SERVE_SLO_MS /
+  // O2SR_SERVE_SLO_TARGET (defaults 50 ms latency, 0.99 good fraction).
   double slo_ms = -1.0;
   double slo_target = -1.0;
   // Registry prefix for every metric this engine owns ("serve" →
@@ -115,6 +115,11 @@ struct ServingOptions {
   // order each racer observed them.
   std::function<void(ServeHealth from, ServeHealth to)> on_health_change;
 };
+
+// `options` with every env-deferred field (cache_capacity, num_shards,
+// max_inflight, default_deadline_ms, slo_ms, slo_target) replaced by its
+// O2SR_SERVE_* knob or default. The engine serves with the result.
+ServingOptions ResolveServingOptions(ServingOptions options);
 
 struct RankedSite {
   int region = -1;
@@ -235,14 +240,6 @@ class ServingEngine {
   // final learned state. Fails when FinalizeServing does.
   static common::StatusOr<std::unique_ptr<ServingEngine>> Create(
       core::SiteRecommender* model, const ServingOptions& options = {});
-
-  // O2SR_SERVE_SHARDS override for ServingOptions::num_shards; returns
-  // `fallback` when unset/unparsable. Values clamp to [1, 64].
-  static int ShardsFromEnv(int fallback);
-  // O2SR_SERVE_BATCH: preferred client batch size for RankSitesBatch
-  // drivers (bench/demo); returns `fallback` when unset/unparsable.
-  // Values clamp to [1, 4096].
-  static int BatchSizeFromEnv(int fallback);
 
   // Full-contract ranking: admission control, deadline budget, fallback
   // ladder, tier-tagged response. Top-k candidate regions for a store
@@ -413,7 +410,6 @@ class ServingEngine {
   ServingOptions options_;
   std::vector<std::unique_ptr<EngineShard>> shards_;
   mutable AdmissionController admission_;
-  double default_deadline_ms_ = 0.0;
   mutable std::atomic<uint64_t> requests_total_{0};
   mutable std::atomic<uint64_t> shed_total_{0};
   mutable std::atomic<uint64_t> pairs_scored_total_{0};

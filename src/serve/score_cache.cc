@@ -1,10 +1,8 @@
 #include "serve/score_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/fault.h"
-#include "obs/env.h"
 #include "obs/metrics.h"
 
 namespace o2sr::serve {
@@ -27,12 +25,6 @@ ScoreCache::ScoreCache(int64_t capacity, int shards,
   for (int64_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-}
-
-int64_t ScoreCache::CapacityFromEnv(int64_t fallback) {
-  // "0" is a valid capacity (cache disabled), so the range starts at 0.
-  return obs::EnvInt("O2SR_SERVE_CACHE", fallback, 0,
-                     int64_t{1} << 40);
 }
 
 ScoreCache::Shard& ScoreCache::ShardOf(uint64_t key) {

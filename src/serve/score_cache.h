@@ -66,10 +66,6 @@ class ScoreCache {
   ScoreCache(int64_t capacity, int shards,
              const std::string& metrics_prefix = "serve.cache");
 
-  // Total-capacity override from O2SR_SERVE_CACHE ("0" disables); returns
-  // `fallback` when the variable is unset or unparsable.
-  static int64_t CapacityFromEnv(int64_t fallback);
-
   static uint64_t Key(int type, int region) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(type)) << 32) |
            static_cast<uint32_t>(region);

@@ -1,189 +1,12 @@
 #include "serve/tenant.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
 
 namespace o2sr::serve {
-
-namespace {
-
-std::string Trim(const std::string& s) {
-  size_t begin = 0, end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
-  return s.substr(begin, end - begin);
-}
-
-common::Status ParseDouble(const std::string& key, const std::string& value,
-                           double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return common::InvalidArgumentError("tenant config: key '" + key +
-                                        "' has unparsable value '" + value +
-                                        "'");
-  }
-  *out = v;
-  return common::Status::Ok();
-}
-
-common::Status ParseInt64(const std::string& key, const std::string& value,
-                          int64_t* out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    return common::InvalidArgumentError("tenant config: key '" + key +
-                                        "' has unparsable value '" + value +
-                                        "'");
-  }
-  *out = static_cast<int64_t>(v);
-  return common::Status::Ok();
-}
-
-common::Status ApplyKey(const std::string& key, const std::string& value,
-                        TenantConfig* config) {
-  if (key == "deadline_ms") return ParseDouble(key, value, &config->deadline_ms);
-  if (key == "slo_ms") return ParseDouble(key, value, &config->slo_ms);
-  if (key == "slo_target") return ParseDouble(key, value, &config->slo_target);
-  if (key == "max_inflight") {
-    return ParseInt64(key, value, &config->max_inflight);
-  }
-  if (key == "cache_capacity") {
-    return ParseInt64(key, value, &config->cache_capacity);
-  }
-  int64_t v = 0;
-  if (key == "cache_shards" || key == "shards" ||
-      key == "health_recovery_streak") {
-    O2SR_RETURN_IF_ERROR(ParseInt64(key, value, &v));
-    if (key == "cache_shards") config->cache_shards = static_cast<int>(v);
-    if (key == "shards") config->shards = static_cast<int>(v);
-    if (key == "health_recovery_streak") {
-      config->health_recovery_streak = static_cast<int>(v);
-    }
-    return common::Status::Ok();
-  }
-  return common::InvalidArgumentError(
-      "tenant config: unknown key '" + key +
-      "' (a typo must not silently serve defaults)");
-}
-
-// Splits "key = value"; false for lines that are not assignments.
-bool SplitAssignment(const std::string& line, std::string* key,
-                     std::string* value) {
-  const size_t eq = line.find('=');
-  if (eq == std::string::npos) return false;
-  *key = Trim(line.substr(0, eq));
-  *value = Trim(line.substr(eq + 1));
-  return !key->empty();
-}
-
-}  // namespace
-
-void TenantConfig::ApplyTo(ServingOptions* options) const {
-  if (deadline_ms >= 0.0) options->default_deadline_ms = deadline_ms;
-  if (max_inflight >= 0) options->max_inflight = max_inflight;
-  if (cache_capacity >= 0) options->cache_capacity = cache_capacity;
-  if (cache_shards > 0) options->cache_shards = cache_shards;
-  if (shards > 0) options->num_shards = shards;
-  if (slo_ms > 0.0) options->slo_ms = slo_ms;
-  if (slo_target > 0.0) options->slo_target = slo_target;
-  if (health_recovery_streak > 0) {
-    options->health_recovery_streak = health_recovery_streak;
-  }
-}
-
-common::StatusOr<TenantConfig> ParseTenantConfig(const std::string& text) {
-  TenantConfig config;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t nl = text.find('\n', pos);
-    const std::string line =
-        Trim(text.substr(pos, nl == std::string::npos ? nl : nl - pos));
-    pos = nl == std::string::npos ? text.size() + 1 : nl + 1;
-    if (line.empty() || line[0] == '#') continue;
-    std::string key, value;
-    if (!SplitAssignment(line, &key, &value)) {
-      return common::InvalidArgumentError(
-          "tenant config: expected 'key = value', got '" + line + "'");
-    }
-    O2SR_RETURN_IF_ERROR(ApplyKey(key, value, &config));
-  }
-  return config;
-}
-
-common::StatusOr<std::unordered_map<std::string, TenantConfig>>
-ParseTenantConfigFile(const std::string& text) {
-  std::unordered_map<std::string, TenantConfig> out;
-  std::string section;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t nl = text.find('\n', pos);
-    const std::string line =
-        Trim(text.substr(pos, nl == std::string::npos ? nl : nl - pos));
-    pos = nl == std::string::npos ? text.size() + 1 : nl + 1;
-    if (line.empty() || line[0] == '#') continue;
-    if (line.front() == '[') {
-      if (line.back() != ']' || line.size() < 3) {
-        return common::InvalidArgumentError(
-            "tenant config: malformed section header '" + line + "'");
-      }
-      section = Trim(line.substr(1, line.size() - 2));
-      if (section.empty()) {
-        return common::InvalidArgumentError(
-            "tenant config: empty tenant name in section header");
-      }
-      if (!out.emplace(section, TenantConfig()).second) {
-        return common::InvalidArgumentError(
-            "tenant config: duplicate section [" + section + "]");
-      }
-      continue;
-    }
-    if (section.empty()) {
-      return common::InvalidArgumentError(
-          "tenant config: assignment '" + line +
-          "' appears before any [tenant] section");
-    }
-    std::string key, value;
-    if (!SplitAssignment(line, &key, &value)) {
-      return common::InvalidArgumentError(
-          "tenant config: expected 'key = value', got '" + line + "'");
-    }
-    O2SR_RETURN_IF_ERROR(ApplyKey(key, value, &out[section]));
-  }
-  return out;
-}
-
-common::StatusOr<std::unordered_map<std::string, TenantConfig>>
-LoadTenantConfigFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return common::NotFoundError("tenant config file '" + path +
-                                 "' does not exist or is unreadable");
-  }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-  auto parsed = ParseTenantConfigFile(text);
-  if (!parsed.ok()) {
-    return parsed.status().WithContext("while parsing '" + path + "'");
-  }
-  return parsed;
-}
 
 TenantRegistry::TenantRegistry() : map_(std::make_shared<const Map>()) {}
 

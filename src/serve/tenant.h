@@ -13,52 +13,6 @@
 
 namespace o2sr::serve {
 
-// Per-tenant serving knobs, each "< 0 / empty means keep the base value".
-// The O2O deployment model is one model per metro: a registry hosts many
-// of these side by side, and a city with tight latency SLAs or a small
-// memory budget tunes its own engine without touching its neighbours'.
-// Parsed from the per-tenant config file format documented in README
-// ("Serving the model", tenant config):
-//
-//   # comment
-//   [beijing]
-//   deadline_ms = 12
-//   max_inflight = 64
-//   cache_capacity = 32768
-//   cache_shards = 8
-//   shards = 4
-//   slo_ms = 20
-//   slo_target = 0.995
-//   health_recovery_streak = 16
-//
-// Unknown keys are an error (a typo must not silently serve defaults).
-struct TenantConfig {
-  double deadline_ms = -1.0;
-  int64_t max_inflight = -1;
-  int64_t cache_capacity = -1;
-  int cache_shards = -1;
-  int shards = -1;
-  double slo_ms = -1.0;
-  double slo_target = -1.0;
-  int health_recovery_streak = -1;
-
-  // Overlays every set (>= 0) field onto `options`.
-  void ApplyTo(ServingOptions* options) const;
-};
-
-// Parses one tenant section body (the `key = value` lines). Fails with
-// INVALID_ARGUMENT on unknown keys or unparsable values.
-common::StatusOr<TenantConfig> ParseTenantConfig(const std::string& text);
-
-// Parses a whole `[name]`-sectioned config file (text form). Keys outside
-// any section are an error.
-common::StatusOr<std::unordered_map<std::string, TenantConfig>>
-ParseTenantConfigFile(const std::string& text);
-
-// Reads and parses `path`. NOT_FOUND when the file does not exist.
-common::StatusOr<std::unordered_map<std::string, TenantConfig>>
-LoadTenantConfigFile(const std::string& path);
-
 // A registry of named tenants (cities), each owning a serving model and a
 // fully independent ServingEngine: private caches and shard counters, its
 // own hot-swap/canary/quarantine path, its own deadline/shedding/fallback

@@ -11,7 +11,7 @@
 
 namespace o2sr::sim {
 
-// The static urban environment: region grid, population density gradient,
+// The static urban setting: region grid, population density gradient,
 // POIs and the road network. Substitutes for the paper's Gaode POI data and
 // OpenStreetMap extract.
 struct CityModel {

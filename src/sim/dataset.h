@@ -58,7 +58,7 @@ struct SlotStats {
   double mean_delivery_minutes = 0.0;
 };
 
-// The complete synthetic dataset: environment + platform records.
+// The complete synthetic dataset: the city + platform records.
 struct Dataset {
   SimConfig config;
   CityModel city;

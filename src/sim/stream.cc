@@ -10,11 +10,11 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/env.h"
 #include "common/fault.h"
 #include "common/math_util.h"
 #include "exec/thread_pool.h"
 #include "nn/serialize.h"
-#include "obs/env.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 
@@ -24,17 +24,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr int kDefaultMemBudgetMb = 2048;
-
 std::string ResolveDataDir(const std::string& requested) {
   if (!requested.empty()) return requested;
-  return obs::EnvString("O2SR_DATA_DIR", "o2sr_data");
+  return common::EnvString(common::Knob::kDataDir);
 }
 
 int ResolveMemBudgetMb(int requested) {
   if (requested > 0) return requested;
-  return static_cast<int>(
-      obs::EnvInt("O2SR_MEM_BUDGET_MB", kDefaultMemBudgetMb, 64, 1048576));
+  return static_cast<int>(common::EnvInt(common::Knob::kMemBudgetMb));
 }
 
 std::string ManifestPath(const std::string& dir) {

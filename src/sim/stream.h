@@ -81,7 +81,7 @@ common::Status AppendManifestEntry(const std::string& path,
 common::StatusOr<Manifest> ReadManifest(const std::string& path);
 
 // Knobs of a streaming-generation run. Zero values defer to the
-// environment (O2SR_DATA_DIR, O2SR_MEM_BUDGET_MB) or to auto-sizing.
+// O2SR_DATA_DIR and O2SR_MEM_BUDGET_MB knobs or to auto-sizing.
 struct StreamOptions {
   // Dataset directory; "" = $O2SR_DATA_DIR, falling back to "o2sr_data".
   std::string data_dir;

@@ -10,7 +10,6 @@
 // must reproduce the trained model's predictions *bit-identically*.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/factory.h"
+#include "common/env.h"
 #include "core/o2siterec_recommender.h"
 #include "eval/experiment.h"
 #include "serve/engine.h"
@@ -89,7 +89,7 @@ core::TrainContext Ctx() {
 }
 
 bool Regenerating() {
-  return std::getenv("O2SR_REGEN_GOLDENS") != nullptr;
+  return !common::EnvString(common::Knob::kRegenGoldens).empty();
 }
 
 void CheckOrPrint(const char* label, const std::vector<double>& actual,

@@ -113,7 +113,7 @@ PopularityPrior TypeOnePrior() {
 }
 
 // Engine options pinned so both engines are structurally identical and
-// independent of the host's core count / environment.
+// independent of the host's core count and O2SR_SERVE_* knobs.
 ServingOptions PinnedOptions() {
   ServingOptions options;
   options.cache_capacity = 64;

@@ -253,21 +253,64 @@ TEST(ScoreCacheTest, StatsCountEveryOutcome) {
   EXPECT_EQ(stats.insertions, 3u);
 }
 
+// --- Env-deferred ServingOptions (ResolveServingOptions) --------------
+
 TEST(ScoreCacheTest, CapacityFromEnv) {
+  const ServingOptions deferred;  // cache_capacity < 0: O2SR_SERVE_CACHE
   ::setenv("O2SR_SERVE_CACHE", "123", 1);
-  EXPECT_EQ(ScoreCache::CapacityFromEnv(7), 123);
+  EXPECT_EQ(ResolveServingOptions(deferred).cache_capacity, 123);
   ::setenv("O2SR_SERVE_CACHE", "0", 1);
-  EXPECT_EQ(ScoreCache::CapacityFromEnv(7), 0);
+  EXPECT_EQ(ResolveServingOptions(deferred).cache_capacity, 0);
   ::setenv("O2SR_SERVE_CACHE", "-4", 1);  // out of range -> clamped, warned
-  EXPECT_EQ(ScoreCache::CapacityFromEnv(7), 0);
+  EXPECT_EQ(ResolveServingOptions(deferred).cache_capacity, 0);
+  ServingOptions explicit_capacity;
+  explicit_capacity.cache_capacity = 7;
+  EXPECT_EQ(ResolveServingOptions(explicit_capacity).cache_capacity, 7);
   ::unsetenv("O2SR_SERVE_CACHE");
-  EXPECT_EQ(ScoreCache::CapacityFromEnv(7), 7);
+  EXPECT_EQ(ResolveServingOptions(deferred).cache_capacity, 65536);
 }
 
 TEST(ScoreCacheDeathTest, GarbageCapacityIsFatal) {
   ::setenv("O2SR_SERVE_CACHE", "nonsense", 1);
-  EXPECT_DEATH(ScoreCache::CapacityFromEnv(7), "O2SR_SERVE_CACHE='nonsense'");
+  EXPECT_DEATH(ResolveServingOptions(ServingOptions{}),
+               "O2SR_SERVE_CACHE='nonsense'");
   ::unsetenv("O2SR_SERVE_CACHE");
+}
+
+TEST(SloConfigTest, FromEnvParsesAndRejectsGarbage) {
+  const ServingOptions deferred;  // slo_ms, slo_target unset
+  ::setenv("O2SR_SERVE_SLO_MS", "12.5", 1);
+  ::setenv("O2SR_SERVE_SLO_TARGET", "0.95", 1);
+  ServingOptions resolved = ResolveServingOptions(deferred);
+  EXPECT_DOUBLE_EQ(resolved.slo_ms, 12.5);
+  EXPECT_DOUBLE_EQ(resolved.slo_target, 0.95);
+
+  // Out-of-range values fall back to the defaults (with a warning).
+  ::setenv("O2SR_SERVE_SLO_MS", "-3", 1);
+  ::setenv("O2SR_SERVE_SLO_TARGET", "1.5", 1);
+  resolved = ResolveServingOptions(deferred);
+  EXPECT_DOUBLE_EQ(resolved.slo_ms, 50.0);
+  EXPECT_DOUBLE_EQ(resolved.slo_target, 0.99);
+
+  // Empty counts as unset; malformed values are fatal (see death test).
+  ::setenv("O2SR_SERVE_SLO_MS", "", 1);
+  ::setenv("O2SR_SERVE_SLO_TARGET", "", 1);
+  resolved = ResolveServingOptions(deferred);
+  EXPECT_DOUBLE_EQ(resolved.slo_ms, 50.0);
+  EXPECT_DOUBLE_EQ(resolved.slo_target, 0.99);
+
+  ::unsetenv("O2SR_SERVE_SLO_MS");
+  ::unsetenv("O2SR_SERVE_SLO_TARGET");
+  resolved = ResolveServingOptions(deferred);
+  EXPECT_DOUBLE_EQ(resolved.slo_ms, 50.0);
+  EXPECT_DOUBLE_EQ(resolved.slo_target, 0.99);
+}
+
+TEST(SloConfigDeathTest, GarbageSloMsIsFatal) {
+  ::setenv("O2SR_SERVE_SLO_MS", "fast", 1);
+  EXPECT_DEATH(ResolveServingOptions(ServingOptions{}),
+               "O2SR_SERVE_SLO_MS='fast'");
+  ::unsetenv("O2SR_SERVE_SLO_MS");
 }
 
 // --- Snapshot container -----------------------------------------------

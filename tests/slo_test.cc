@@ -1,9 +1,8 @@
 // Tests of the serving SLO monitor (obs/slo.h): bad-request
 // classification, burn-rate math, rolling-window eviction, deterministic
-// nearest-rank quantiles, env-knob parsing, gauge export and the JSON
-// snapshot shape.
+// nearest-rank quantiles, gauge export and the JSON snapshot shape. The
+// O2SR_SERVE_SLO_* knobs are resolved by the serving engine (serve_test).
 
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -19,40 +18,6 @@ SloOutcome Ok(double latency_ms) {
   SloOutcome o;
   o.latency_ms = latency_ms;
   return o;
-}
-
-TEST(SloConfigTest, FromEnvParsesAndRejectsGarbage) {
-  ::setenv("O2SR_SERVE_SLO_MS", "12.5", 1);
-  ::setenv("O2SR_SERVE_SLO_TARGET", "0.95", 1);
-  SloConfig cfg = SloConfig::FromEnv();
-  EXPECT_DOUBLE_EQ(cfg.slo_ms, 12.5);
-  EXPECT_DOUBLE_EQ(cfg.target, 0.95);
-
-  // Out-of-range values fall back to the defaults (with a warning).
-  ::setenv("O2SR_SERVE_SLO_MS", "-3", 1);
-  ::setenv("O2SR_SERVE_SLO_TARGET", "1.5", 1);
-  cfg = SloConfig::FromEnv();
-  EXPECT_DOUBLE_EQ(cfg.slo_ms, 50.0);
-  EXPECT_DOUBLE_EQ(cfg.target, 0.99);
-
-  // Empty counts as unset; malformed values are fatal (see death test).
-  ::setenv("O2SR_SERVE_SLO_MS", "", 1);
-  ::setenv("O2SR_SERVE_SLO_TARGET", "", 1);
-  cfg = SloConfig::FromEnv();
-  EXPECT_DOUBLE_EQ(cfg.slo_ms, 50.0);
-  EXPECT_DOUBLE_EQ(cfg.target, 0.99);
-
-  ::unsetenv("O2SR_SERVE_SLO_MS");
-  ::unsetenv("O2SR_SERVE_SLO_TARGET");
-  cfg = SloConfig::FromEnv();
-  EXPECT_DOUBLE_EQ(cfg.slo_ms, 50.0);
-  EXPECT_DOUBLE_EQ(cfg.target, 0.99);
-}
-
-TEST(SloConfigDeathTest, GarbageSloMsIsFatal) {
-  ::setenv("O2SR_SERVE_SLO_MS", "fast", 1);
-  EXPECT_DEATH(SloConfig::FromEnv(), "O2SR_SERVE_SLO_MS='fast'");
-  ::unsetenv("O2SR_SERVE_SLO_MS");
 }
 
 TEST(SloMonitorTest, ClassifiesBadRequests) {

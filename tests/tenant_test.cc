@@ -28,13 +28,6 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-void WriteFileRaw(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-}
-
 bool FileExists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -121,104 +114,6 @@ class TenantTest : public ::testing::Test {
   }
 };
 
-// --- Config parsing ----------------------------------------------------
-
-TEST_F(TenantTest, ParseTenantConfigReadsEveryKnob) {
-  const auto config = ParseTenantConfig(
-      "# latency-sensitive metro\n"
-      "deadline_ms = 12.5\n"
-      "max_inflight = 64\n"
-      "cache_capacity = 32768\n"
-      "cache_shards = 8\n"
-      "shards = 4\n"
-      "slo_ms = 20\n"
-      "slo_target = 0.995\n"
-      "health_recovery_streak = 16\n");
-  ASSERT_TRUE(config.ok()) << config.status();
-  EXPECT_DOUBLE_EQ(config->deadline_ms, 12.5);
-  EXPECT_EQ(config->max_inflight, 64);
-  EXPECT_EQ(config->cache_capacity, 32768);
-  EXPECT_EQ(config->cache_shards, 8);
-  EXPECT_EQ(config->shards, 4);
-  EXPECT_DOUBLE_EQ(config->slo_ms, 20.0);
-  EXPECT_DOUBLE_EQ(config->slo_target, 0.995);
-  EXPECT_EQ(config->health_recovery_streak, 16);
-
-  ServingOptions options;
-  config->ApplyTo(&options);
-  EXPECT_DOUBLE_EQ(options.default_deadline_ms, 12.5);
-  EXPECT_EQ(options.max_inflight, 64);
-  EXPECT_EQ(options.cache_capacity, 32768);
-  EXPECT_EQ(options.num_shards, 4);
-}
-
-TEST_F(TenantTest, UnsetKeysDoNotOverlayTheBaseOptions) {
-  const auto config = ParseTenantConfig("deadline_ms = 7\n");
-  ASSERT_TRUE(config.ok());
-  ServingOptions options;
-  options.max_inflight = 99;
-  options.cache_capacity = 123;
-  config->ApplyTo(&options);
-  EXPECT_DOUBLE_EQ(options.default_deadline_ms, 7.0);
-  EXPECT_EQ(options.max_inflight, 99);    // untouched
-  EXPECT_EQ(options.cache_capacity, 123);  // untouched
-}
-
-TEST_F(TenantTest, UnknownKeyIsALoudError) {
-  const auto config = ParseTenantConfig("deadine_ms = 12\n");  // typo
-  ASSERT_FALSE(config.ok());
-  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(config.status().message().find("unknown key"), std::string::npos);
-}
-
-TEST_F(TenantTest, UnparsableValueIsAnError) {
-  const auto config = ParseTenantConfig("deadline_ms = fast\n");
-  ASSERT_FALSE(config.ok());
-  EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(TenantTest, SectionedFileParsesPerTenant) {
-  const auto parsed = ParseTenantConfigFile(
-      "# two metros\n"
-      "[beijing]\n"
-      "deadline_ms = 12\n"
-      "shards = 4\n"
-      "\n"
-      "[tianjin]\n"
-      "deadline_ms = 30\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->at("beijing").deadline_ms, 12.0);
-  EXPECT_EQ(parsed->at("beijing").shards, 4);
-  EXPECT_DOUBLE_EQ(parsed->at("tianjin").deadline_ms, 30.0);
-  EXPECT_EQ(parsed->at("tianjin").shards, -1);
-}
-
-TEST_F(TenantTest, SectionedFileRejectsMalformedInput) {
-  EXPECT_EQ(ParseTenantConfigFile("deadline_ms = 12\n").status().code(),
-            StatusCode::kInvalidArgument);  // key before any section
-  EXPECT_EQ(ParseTenantConfigFile("[beijing\ndeadline_ms = 1\n")
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);  // unclosed header
-  EXPECT_EQ(
-      ParseTenantConfigFile("[a]\nx_total = 1\n").status().code(),
-      StatusCode::kInvalidArgument);  // unknown key inside a section
-  EXPECT_EQ(ParseTenantConfigFile("[a]\n[a]\n").status().code(),
-            StatusCode::kInvalidArgument);  // duplicate section
-}
-
-TEST_F(TenantTest, LoadTenantConfigFileRoundTripsAndFlagsMissingFiles) {
-  const std::string path = TempPath("tenants.conf");
-  WriteFileRaw(path, "[shanghai]\ncache_capacity = 1024\n");
-  const auto parsed = LoadTenantConfigFile(path);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->at("shanghai").cache_capacity, 1024);
-
-  EXPECT_EQ(LoadTenantConfigFile(TempPath("no_such.conf")).status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST_F(TenantTest, MetricsPrefixSanitizesTenantNames) {
   EXPECT_EQ(TenantRegistry::MetricsPrefixFor("beijing"),
             "serve.tenant.beijing");
@@ -263,12 +158,9 @@ TEST_F(TenantTest, RegisterRejectsBadArgumentsAndDuplicates) {
 }
 
 TEST_F(TenantTest, PerTenantConfigShapesEachEngineIndependently) {
-  TenantConfig tight;
-  tight.deadline_ms = -1.0;
-  tight.max_inflight = 1;
-  tight.shards = 2;
   ServingOptions tight_options;
-  tight.ApplyTo(&tight_options);
+  tight_options.max_inflight = 1;
+  tight_options.num_shards = 2;
 
   TenantRegistry registry;
   ASSERT_TRUE(registry.Register("tight", MakeModel(), tight_options).ok());
