@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/env.h"
@@ -12,7 +13,6 @@
 #include "exec/thread_pool.h"
 #include "obs/json.h"
 #include "obs/log.h"
-#include "obs/profiler.h"
 
 // Build-flavor stamps, normally injected by bench/CMakeLists.txt.
 #ifndef O2SR_BUILD_TYPE_NAME
@@ -130,10 +130,7 @@ void PrintHeader(const std::string& title, const std::string& paper_ref) {
 
 BenchReport::BenchReport(const std::string& name, const std::string& title,
                          const std::string& paper_ref)
-    : name_(name),
-      title_(title),
-      paper_ref_(paper_ref),
-      start_(std::chrono::steady_clock::now()) {
+    : name_(name), title_(title), paper_ref_(paper_ref) {
   PrintHeader(title, paper_ref);
   root_name_ = "bench." + name_;
   root_span_ = std::make_unique<obs::ScopedTrace>(root_name_.c_str());
@@ -154,18 +151,10 @@ void BenchReport::Write() {
   if (written_) return;
   written_ = true;
   root_span_.reset();  // close "bench.<name>" so it has a duration
-  // Profiler counters ride along in the Chrome trace. Emitting them here —
-  // during main(), not at exit — sequences them before the trace file's
-  // atexit export regardless of singleton construction order.
-  {
-    obs::Profiler& profiler = obs::Profiler::Global();
-    if (profiler.enabled()) {
-      profiler.EmitTraceCounters(&obs::TraceRecorder::Global());
-    }
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
+  const std::map<std::string, double> stages =
+      obs::TraceRecorder::Global().StageMillis();
+  const auto root = stages.find(root_name_);
+  const double wall_s = root == stages.end() ? 0.0 : root->second / 1e3;
 
   std::ostringstream out;
   out << "{\"bench\":" << obs::JsonQuote(name_)
@@ -182,7 +171,7 @@ void BenchReport::Write() {
   // show up as a diff between two otherwise identical runs.
   out << ",\"stages_ms\":{";
   bool first = true;
-  for (const auto& [stage, ms] : obs::TraceRecorder::Global().StageMillis()) {
+  for (const auto& [stage, ms] : stages) {
     if (!first) out << ",";
     first = false;
     out << obs::JsonQuote(stage) << ":" << obs::JsonFixed(ms, 3);

@@ -1,7 +1,6 @@
 #ifndef O2SR_BENCH_BENCH_COMMON_H_
 #define O2SR_BENCH_BENCH_COMMON_H_
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -68,8 +67,10 @@ void PrintHeader(const std::string& title, const std::string& paper_ref);
 // O2SR_TRACE_FILE export has a single span covering the whole run), and on
 // destruction writes BENCH_<name>.json into the working directory with the
 // bench scale, per-stage wall-clock from the trace layer, every metric
-// cell/value the bench registered, and the seed count. The stdout table is
-// unchanged; the JSON is what the repo-level perf trajectory accumulates.
+// cell/value the bench registered, and the seed count. `wall_clock_s` is
+// the root span's duration, so it equals stages_ms["bench.<name>"]. The
+// stdout table is unchanged; the JSON is what the repo-level perf
+// trajectory accumulates.
 class BenchReport {
  public:
   BenchReport(const std::string& name, const std::string& title,
@@ -97,7 +98,6 @@ class BenchReport {
   std::vector<std::pair<std::string, eval::EvalResult>> cells_;
   std::vector<std::pair<std::string, double>> values_;
   std::unique_ptr<obs::ScopedTrace> root_span_;
-  std::chrono::steady_clock::time_point start_;
   bool written_ = false;
 };
 

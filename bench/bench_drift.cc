@@ -16,12 +16,12 @@
 // the series; ci.sh asserts refreshed mean NDCG >= stale mean NDCG.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/table_printer.h"
 #include "core/o2siterec_recommender.h"
 #include "nn/serialize.h"
@@ -86,7 +86,7 @@ int main() {
         eval::SplitInteractions(drifted, interactions, {0.8, 1});
 
     // Warm-start refresh on the drifted window (the pipeline's RETRAIN).
-    const auto refresh_start = std::chrono::steady_clock::now();
+    const int64_t refresh_start = common::NowMicros();
     core::O2SiteRecRecommender refreshed(model_config);
     {
       core::TrainContext ctx;
@@ -96,10 +96,7 @@ int main() {
       ctx.warm_start = &donor;
       O2SR_CHECK_OK(refreshed.Train(ctx));
     }
-    const double recovery_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      refresh_start)
-            .count();
+    const double recovery_s = (common::NowMicros() - refresh_start) / 1e6;
     donor = nn::ExtractNamedTensors(*refreshed.parameter_store());
 
     // Evaluate both on the pairs both can score (the stale model has no

@@ -13,11 +13,11 @@
 //    machine and thread count — a drift means the compiler fused
 //    differently, which is exactly what the gate should catch).
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "nn/kernels/kernels.h"
 #include "nn/parameter.h"
@@ -28,12 +28,6 @@
 
 namespace o2sr {
 namespace {
-
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 // The model's hot shape family: thousands of edge rows, narrow embeddings.
 constexpr int kRows = 2850;
@@ -123,20 +117,20 @@ int Main() {
   // matmul_rows: [kRows x kDim] * [kDim x kDim].
   TimedPair mm{"matmul_scalar_ms", "matmul_simd_ms"};
   {
-    auto t0 = std::chrono::steady_clock::now();
+    int64_t t0 = common::NowMicros();
     for (int r = 0; r < kernel_reps; ++r) {
       c_scalar.Fill(0.0f);
       scalar.matmul_rows(a.data(), b.data(), c_scalar.data(), 0, kRows, kDim,
                          kDim, false);
     }
-    mm.ms_scalar = MsSince(t0);
-    t0 = std::chrono::steady_clock::now();
+    mm.ms_scalar = (common::NowMicros() - t0) / 1e3;
+    t0 = common::NowMicros();
     for (int r = 0; r < kernel_reps; ++r) {
       c_simd.Fill(0.0f);
       active.matmul_rows(a.data(), b.data(), c_simd.data(), 0, kRows, kDim,
                          kDim, false);
     }
-    mm.ms_simd = MsSince(t0);
+    mm.ms_simd = (common::NowMicros() - t0) / 1e3;
     mismatches += CountMismatch(c_scalar, c_simd);
   }
 
@@ -144,20 +138,20 @@ int Main() {
   // shape: long reduction, tiny output).
   TimedPair ta{"matmul_ta_scalar_ms", "matmul_ta_simd_ms"};
   {
-    auto t0 = std::chrono::steady_clock::now();
+    int64_t t0 = common::NowMicros();
     for (int r = 0; r < kernel_reps; ++r) {
       d_scalar.Fill(0.0f);
       scalar.matmul_ta_rows(a_tall.data(), b_wide.data(), d_scalar.data(), 0,
                             kDim, kDim, kRows, kDim, false);
     }
-    ta.ms_scalar = MsSince(t0);
-    t0 = std::chrono::steady_clock::now();
+    ta.ms_scalar = (common::NowMicros() - t0) / 1e3;
+    t0 = common::NowMicros();
     for (int r = 0; r < kernel_reps; ++r) {
       d_simd.Fill(0.0f);
       active.matmul_ta_rows(a_tall.data(), b_wide.data(), d_simd.data(), 0,
                             kDim, kDim, kRows, kDim, false);
     }
-    ta.ms_simd = MsSince(t0);
+    ta.ms_simd = (common::NowMicros() - t0) / 1e3;
     mismatches += CountMismatch(d_scalar, d_simd);
   }
 
@@ -165,20 +159,20 @@ int Main() {
   // shape; b is square here so the transpose view is valid).
   TimedPair tb{"matmul_tb_scalar_ms", "matmul_tb_simd_ms"};
   {
-    auto t0 = std::chrono::steady_clock::now();
+    int64_t t0 = common::NowMicros();
     for (int r = 0; r < kernel_reps; ++r) {
       c_scalar.Fill(0.0f);
       scalar.matmul_tb_rows(a.data(), b.data(), c_scalar.data(), 0, kRows,
                             kDim, kDim, false);
     }
-    tb.ms_scalar = MsSince(t0);
-    t0 = std::chrono::steady_clock::now();
+    tb.ms_scalar = (common::NowMicros() - t0) / 1e3;
+    t0 = common::NowMicros();
     for (int r = 0; r < kernel_reps; ++r) {
       c_simd.Fill(0.0f);
       active.matmul_tb_rows(a.data(), b.data(), c_simd.data(), 0, kRows, kDim,
                             kDim, false);
     }
-    tb.ms_simd = MsSince(t0);
+    tb.ms_simd = (common::NowMicros() - t0) / 1e3;
     mismatches += CountMismatch(c_scalar, c_simd);
   }
 
@@ -199,22 +193,22 @@ int Main() {
     nn::Tape::SetModeForTest(nn::Tape::Mode::kPlanned);
     setup.store.ZeroGrads();
     nn::Tensor planned_out = setup.Run(&tape_nodes);  // warm the plan cache
-    auto t0 = std::chrono::steady_clock::now();
+    int64_t t0 = common::NowMicros();
     for (int r = 0; r < step_reps; ++r) {
       setup.store.ZeroGrads();
       planned_out = setup.Run();
     }
-    planned_ms = MsSince(t0) / step_reps;
+    planned_ms = (common::NowMicros() - t0) / 1e3 / step_reps;
 
     nn::Tape::SetModeForTest(nn::Tape::Mode::kEager);
     setup.store.ZeroGrads();
     nn::Tensor eager_out = setup.Run();
-    t0 = std::chrono::steady_clock::now();
+    t0 = common::NowMicros();
     for (int r = 0; r < step_reps; ++r) {
       setup.store.ZeroGrads();
       eager_out = setup.Run();
     }
-    eager_ms = MsSince(t0) / step_reps;
+    eager_ms = (common::NowMicros() - t0) / 1e3 / step_reps;
     nn::Tape::SetModeForTest(nn::Tape::Mode::kEnv);
     step_mismatches = CountMismatch(planned_out, eager_out);
   }

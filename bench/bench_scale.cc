@@ -17,13 +17,13 @@
 // acceptance floor: >= 39,465 stores, >= 23M orders, RSS under budget.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
 
 #include "bench_common.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/env.h"
 #include "features/stream_aggregate.h"
 #include "graphs/hetero_graph.h"
@@ -75,11 +75,6 @@ sim::SimConfig ScaleConfig(bench::Scale scale) {
   return sim::SimConfig();
 }
 
-double Seconds(std::chrono::steady_clock::time_point a,
-               std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
 }  // namespace
 
 int main() {
@@ -94,8 +89,7 @@ int main() {
       common::Knob::kDataDir,
       std::string("bench_scale_data_") + bench::ScaleName(scale));
 
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
+  const int64_t t0 = common::NowMicros();
   sim::StreamResult ingest;
   {
     O2SR_TRACE_SCOPE("bench.ingest");
@@ -103,7 +97,7 @@ int main() {
     O2SR_CHECK_OK(result.status());
     ingest = *result;
   }
-  const auto t1 = clock::now();
+  const int64_t t1 = common::NowMicros();
 
   sim::SpillReadReport read_report;
   features::OrderStats stats(0, 0);
@@ -120,7 +114,7 @@ int main() {
     O2SR_CHECK_OK(aggregated.status());
     stats = std::move(*aggregated);
   }
-  const auto t2 = clock::now();
+  const int64_t t2 = common::NowMicros();
 
   size_t hetero_nodes = 0;
   size_t mobility_edges = 0;
@@ -137,7 +131,10 @@ int main() {
     hetero_nodes = hetero.num_store_nodes() + hetero.num_customer_nodes();
     mobility_edges = mobility.TotalEdges();
   }
-  const auto t3 = clock::now();
+  const int64_t t3 = common::NowMicros();
+  const double gen_s = (t1 - t0) / 1e6;
+  const double read_s = (t2 - t1) / 1e6;
+  const double graph_s = (t3 - t2) / 1e6;
 
   const double peak_rss_mb = PeakRssMb();
   const double budget_mb = ingest.resolved_mem_budget_mb;
@@ -153,8 +150,8 @@ int main() {
       static_cast<unsigned long long>(
           ingest.total_rows /
           std::max(1, ingest.shards_written + ingest.shards_skipped)),
-      ingest.num_blocks, ingest.block_regions, Seconds(t0, t1),
-      Seconds(t1, t2), Seconds(t2, t3), hetero_nodes, mobility_edges,
+      ingest.num_blocks, ingest.block_regions, gen_s, read_s, graph_s,
+      hetero_nodes, mobility_edges,
       peak_rss_mb, budget_mb,
       peak_rss_mb <= budget_mb ? "(within budget)" : "OVER BUDGET");
 
@@ -168,9 +165,9 @@ int main() {
   report.AddValue("orders", static_cast<double>(ingest.total_rows));
   report.AddValue("mem_budget_mb", budget_mb);
   report.AddValue("peak_rss_mb", peak_rss_mb);
-  report.AddValue("gen_wall_s", Seconds(t0, t1));
-  report.AddValue("read_wall_s", Seconds(t1, t2));
-  report.AddValue("graph_wall_s", Seconds(t2, t3));
+  report.AddValue("gen_wall_s", gen_s);
+  report.AddValue("read_wall_s", read_s);
+  report.AddValue("graph_wall_s", graph_s);
   report.AddValue("quarantined", read_report.quarantined);
   return 0;
 }

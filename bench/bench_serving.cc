@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/clock.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "core/o2siterec_recommender.h"
@@ -80,13 +81,11 @@ std::vector<Query> MakeQueryStream(int num_queries, int candidates_per_query,
 
 double ReplayQps(const serve::ServingEngine& engine,
                  const std::vector<Query>& stream, int k) {
-  const auto start = std::chrono::steady_clock::now();
+  const int64_t start = common::NowMicros();
   for (const Query& q : stream) {
     O2SR_CHECK_OK(engine.RankSites(q.type, q.candidates, k).status());
   }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double seconds = (common::NowMicros() - start) / 1e6;
   return static_cast<double>(stream.size()) / std::max(seconds, 1e-9);
 }
 
@@ -126,20 +125,17 @@ DeadlineReplay ReplayWithDeadlines(const serve::ServingEngine& engine,
   std::vector<double> served_ms;
   served_ms.reserve(stream.size());
   uint64_t degraded = 0, failed = 0;
-  const auto start = std::chrono::steady_clock::now();
+  const int64_t start = common::NowMicros();
   for (size_t i = 0; i < stream.size(); ++i) {
-    const auto arrival =
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        out.period_ms * static_cast<double>(i)));
-    auto now = std::chrono::steady_clock::now();
+    const int64_t arrival =
+        start + static_cast<int64_t>(out.period_ms * 1e3 *
+                                     static_cast<double>(i));
+    int64_t now = common::NowMicros();
     if (now < arrival) {  // ahead of schedule: wait for the arrival
-      std::this_thread::sleep_until(arrival);
-      now = std::chrono::steady_clock::now();
+      std::this_thread::sleep_for(std::chrono::microseconds(arrival - now));
+      now = common::NowMicros();
     }
-    const double remaining_ms =
-        out.budget_ms -
-        std::chrono::duration<double, std::milli>(now - arrival).count();
+    const double remaining_ms = out.budget_ms - (now - arrival) / 1e3;
 
     serve::RankRequest request;
     request.type = stream[i].type;
@@ -148,9 +144,7 @@ DeadlineReplay ReplayWithDeadlines(const serve::ServingEngine& engine,
     request.deadline = serve::Deadline::AfterMs(remaining_ms);
     const auto response = engine.Rank(request);
     if (response.ok()) {
-      served_ms.push_back(std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - now)
-                              .count());
+      served_ms.push_back((common::NowMicros() - now) / 1e3);
       if (response->tier != serve::ServeTier::kFresh) ++degraded;
     } else if (response.status().code() ==
                common::StatusCode::kResourceExhausted) {
@@ -167,9 +161,7 @@ DeadlineReplay ReplayWithDeadlines(const serve::ServingEngine& engine,
       O2SR_CHECK_OK(response.status());
     }
   }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double seconds = (common::NowMicros() - start) / 1e6;
   const double total = static_cast<double>(stream.size());
   out.qps = static_cast<double>(served_ms.size()) / std::max(seconds, 1e-9);
   out.p99_ms = QuantileOf(std::move(served_ms), 0.99);
@@ -214,7 +206,7 @@ SaturationPoint RunSaturationPoint(serve::TenantRegistry& registry,
 
   std::vector<std::vector<double>> latencies(threads);
   std::atomic<uint64_t> failures{0};
-  const auto start = std::chrono::steady_clock::now();
+  const int64_t start = common::NowMicros();
   std::vector<std::thread> drivers;
   drivers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
@@ -240,12 +232,9 @@ SaturationPoint RunSaturationPoint(serve::TenantRegistry& registry,
         size_t& offset = offsets[which];
         const std::span<const serve::RankRequest> span(
             tenant.requests.data() + offset, static_cast<size_t>(batch));
-        const auto batch_start = std::chrono::steady_clock::now();
+        const int64_t batch_start = common::NowMicros();
         const auto responses = pins[which]->engine->RankSitesBatch(span);
-        const double batch_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - batch_start)
-                .count();
+        const double batch_ms = (common::NowMicros() - batch_start) / 1e3;
         for (const auto& response : responses) {
           if (!response.ok()) failures.fetch_add(1);
         }
@@ -258,9 +247,7 @@ SaturationPoint RunSaturationPoint(serve::TenantRegistry& registry,
     });
   }
   for (std::thread& driver : drivers) driver.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double seconds = (common::NowMicros() - start) / 1e6;
   O2SR_CHECK(failures.load() == 0);
 
   std::vector<double> merged;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/rng.h"
 
 namespace o2sr::common {
@@ -63,12 +64,9 @@ Status RunWithRetry(const RetryPolicy& policy, const std::string& op,
   const auto retryable =
       policy.retryable ? policy.retryable : DefaultRetryable;
   for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-    const auto start = std::chrono::steady_clock::now();
+    const int64_t start_us = NowMicros();
     Status status = fn();
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    const double elapsed_ms = (NowMicros() - start_us) / 1e3;
     ++s.attempts;
     if (policy.per_attempt_timeout_ms > 0.0 &&
         elapsed_ms > policy.per_attempt_timeout_ms) {

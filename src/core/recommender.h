@@ -28,9 +28,9 @@ struct TrainContext {
   const sim::Dataset* data = nullptr;
   const std::vector<sim::Order>* visible_orders = nullptr;
   const InteractionList* train = nullptr;
-  // Telemetry surface of the guarded trainer (per-epoch obs::TrainEvents,
-  // fault injection); models that train without nn::RunGuardedTraining may
-  // ignore them.
+  // Diagnostic surface of the guarded trainer: fault-injection hooks, and
+  // the report that receives the run's obs::TrainEvents. Models that train
+  // without nn::RunGuardedTraining may ignore them.
   nn::TrainHooks hooks;
   nn::TrainReport* report = nullptr;
   // Execution pool for the run's parallel kernels (tensor ops, graph

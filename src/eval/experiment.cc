@@ -187,9 +187,7 @@ common::StatusOr<EvalResult> RunOnce(core::SiteRecommender& model,
                                      const sim::Dataset& data,
                                      const Split& split,
                                      const EvalOptions& options,
-                                     nn::TrainReport* train_report,
-                                     obs::TelemetryStream* telemetry,
-                                     exec::ThreadPool* pool) {
+                                     nn::TrainReport* train_report) {
   O2SR_TRACE_SCOPE("eval.run_once");
   static obs::Counter* runs_counter =
       obs::MetricsRegistry::Global().GetCounter("eval.runs");
@@ -199,12 +197,6 @@ common::StatusOr<EvalResult> RunOnce(core::SiteRecommender& model,
   ctx.data = &data;
   ctx.visible_orders = &split.train_orders;
   ctx.train = &split.train;
-  ctx.pool = pool;
-  if (telemetry != nullptr) {
-    ctx.hooks.on_event = [telemetry](const obs::TrainEvent& event) {
-      telemetry->Append(event);
-    };
-  }
   nn::TrainReport local_report;
   ctx.report = train_report != nullptr ? train_report : &local_report;
   {
@@ -219,9 +211,6 @@ common::StatusOr<EvalResult> RunOnce(core::SiteRecommender& model,
   std::vector<double> predictions;
   {
     O2SR_TRACE_SCOPE("eval.predict");
-    // Scoring the test pairs stays on the caller-chosen pool too.
-    exec::PoolScope pool_scope(pool != nullptr ? pool
-                                               : &exec::CurrentPool());
     O2SR_ASSIGN_OR_RETURN(
         predictions,
         model.Predict(split.test).WithContext("predicting " + model.Name()));

@@ -9,7 +9,6 @@
 #include "core/interaction.h"
 #include "core/recommender.h"
 #include "nn/trainer.h"
-#include "obs/telemetry.h"
 #include "sim/dataset.h"
 
 namespace o2sr::eval {
@@ -88,20 +87,14 @@ EvalResult EvaluateRegions(const core::InteractionList& test,
 // Status; callers that treat them as fatal unwrap with .value(), which
 // CHECK-aborts with the message.
 //
-// When `telemetry` is non-null, the guarded trainer's per-epoch stream
-// (epoch loss, grad norm, learning rate, recovery/resume events) is
-// appended to it — attach a file with TelemetryStream::OpenFile for JSONL
-// output. `train_report` (may be null) receives the run's TrainReport,
-// whose `events` field holds the same stream. `pool` (may be null) is
-// forwarded as TrainContext::pool so the run's parallel kernels execute on
-// a caller-chosen exec::ThreadPool.
+// `train_report` (may be null) receives the run's TrainReport, whose
+// `events` field holds the guarded trainer's telemetry (epoch loss, grad
+// norm, learning rate, recovery/resume events).
 common::StatusOr<EvalResult> RunOnce(core::SiteRecommender& model,
                                      const sim::Dataset& data,
                                      const Split& split,
                                      const EvalOptions& options = {},
-                                     nn::TrainReport* train_report = nullptr,
-                                     obs::TelemetryStream* telemetry = nullptr,
-                                     exec::ThreadPool* pool = nullptr);
+                                     nn::TrainReport* train_report = nullptr);
 
 }  // namespace o2sr::eval
 

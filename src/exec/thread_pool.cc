@@ -1,11 +1,11 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <memory>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -26,12 +26,6 @@ thread_local const ThreadPool* tls_region_caller_pool = nullptr;
 // Innermost PoolScope override for the current thread.
 thread_local ThreadPool* tls_current_pool = nullptr;
 
-int64_t NowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 int NumThreadsFromEnv() {
@@ -44,15 +38,8 @@ int NumThreadsFromEnv() {
 
 ThreadPool::ThreadPool(int num_threads, const std::string& metrics_prefix)
     : num_threads_(std::max(1, num_threads)) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  threads_gauge_ = registry.GetGauge(metrics_prefix + ".threads");
-  regions_counter_ = registry.GetCounter(metrics_prefix + ".regions");
-  tasks_counter_ = registry.GetCounter(metrics_prefix + ".tasks");
-  inline_regions_counter_ =
-      registry.GetCounter(metrics_prefix + ".inline_regions");
-  queue_depth_gauge_ = registry.GetGauge(metrics_prefix + ".queue_depth");
-  utilization_gauge_ =
-      registry.GetGauge(metrics_prefix + ".worker_utilization");
+  threads_gauge_ =
+      obs::MetricsRegistry::Global().GetGauge(metrics_prefix + ".threads");
   // The calling thread participates in every region, so num_threads - 1
   // workers saturate `num_threads` lanes.
   const int worker_count = num_threads_ - 1;
@@ -107,8 +94,6 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
   }
 
   const int64_t chunks = NumChunks(n, grain);
-  regions_counter_->Increment();
-  tasks_counter_->Increment(static_cast<uint64_t>(chunks));
 
   // The profiler names a region by its trace name when it has one, else by
   // the kernel's profile name.
@@ -126,18 +111,15 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
   // chunking.
   if (workers_.empty() || chunks <= 1 || InWorker() ||
       tls_region_caller_pool == this) {
-    inline_regions_counter_->Increment();
-    {
-      obs::Profiler& profiler = obs::Profiler::Global();
-      if (profiler.enabled()) {
-        profiler.RecordInlineRegion(region_name, n, chunks);
-      }
+    obs::Profiler& profiler = obs::Profiler::Global();
+    if (profiler.enabled()) {
+      profiler.RecordInlineRegion(region_name, n, chunks);
     }
     RunInline(n, grain, fn);
     return;
   }
 
-  const int64_t start_us = NowMicros();
+  const int64_t start_us = common::NowMicros();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     region_fn_ = &fn;
@@ -146,11 +128,9 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
     region_chunks_ = chunks;
     next_chunk_.store(0, std::memory_order_relaxed);
     pending_chunks_.store(chunks, std::memory_order_relaxed);
-    busy_us_.store(0, std::memory_order_relaxed);
     std::fill(lane_busy_us_.begin(), lane_busy_us_.end(), 0);
     ++region_epoch_;
   }
-  queue_depth_gauge_->Set(static_cast<double>(chunks));
   work_cv_.notify_all();
 
   {
@@ -158,7 +138,6 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
     tls_region_caller_pool = this;
     const int64_t caller_busy = WorkChunks(fn, n, grain, chunks);
     tls_region_caller_pool = previous;
-    busy_us_.fetch_add(caller_busy, std::memory_order_relaxed);
     lane_busy_us_[0] = caller_busy;
   }
 
@@ -173,19 +152,14 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
     });
     region_fn_ = nullptr;
   }
-  const int64_t wall_us = std::max<int64_t>(1, NowMicros() - start_us);
-  utilization_gauge_->Set(
-      static_cast<double>(busy_us_.load(std::memory_order_relaxed)) /
-      (static_cast<double>(wall_us) * num_threads_));
-  queue_depth_gauge_->Set(0.0);
-  {
-    // The completion handshake above ordered every worker's lane write
-    // before this read.
-    obs::Profiler& profiler = obs::Profiler::Global();
-    if (profiler.enabled()) {
-      profiler.RecordDispatchedRegion(region_name, n, chunks, wall_us,
-                                      lane_busy_us_.data(), num_threads_);
-    }
+  const int64_t wall_us =
+      std::max<int64_t>(1, common::NowMicros() - start_us);
+  // The completion handshake above ordered every worker's lane write before
+  // this read.
+  obs::Profiler& profiler = obs::Profiler::Global();
+  if (profiler.enabled()) {
+    profiler.RecordDispatchedRegion(region_name, n, chunks, wall_us,
+                                    lane_busy_us_.data(), num_threads_);
   }
 }
 
@@ -194,10 +168,7 @@ void ThreadPool::SessionRunChunks(
     const char* trace_name, const char* profile_name) {
   const int64_t chunks = NumChunks(n, grain);
   const char* region_name = trace_name != nullptr ? trace_name : profile_name;
-  regions_counter_->Increment();
-  tasks_counter_->Increment(static_cast<uint64_t>(chunks));
   if (chunks <= 1) {
-    inline_regions_counter_->Increment();
     obs::Profiler& profiler = obs::Profiler::Global();
     if (profiler.enabled()) {
       profiler.RecordInlineRegion(region_name, n, chunks);
@@ -206,7 +177,7 @@ void ThreadPool::SessionRunChunks(
     return;
   }
 
-  const int64_t start_us = NowMicros();
+  const int64_t start_us = common::NowMicros();
   // Publish the task. Stragglers from the previous task were drained by its
   // completion wait, so the plain/relaxed state writes below cannot race
   // with a worker snapshot: any worker that reads them while we write also
@@ -240,11 +211,8 @@ void ThreadPool::SessionRunChunks(
   }
   session_fn_.store(nullptr, std::memory_order_relaxed);
 
-  const int64_t wall_us = std::max<int64_t>(1, NowMicros() - start_us);
-  int64_t busy = 0;
-  for (int64_t lane : lane_busy_us_) busy += lane;
-  utilization_gauge_->Set(static_cast<double>(busy) /
-                          (static_cast<double>(wall_us) * num_threads_));
+  const int64_t wall_us =
+      std::max<int64_t>(1, common::NowMicros() - start_us);
   obs::Profiler& profiler = obs::Profiler::Global();
   if (profiler.enabled()) {
     profiler.RecordDispatchedRegion(region_name, n, chunks, wall_us,
@@ -282,7 +250,6 @@ void ThreadPool::SessionWorkerLoop(int lane) {
     seen = seq;
     const int64_t busy = WorkChunks(*fn, n, grain, chunks);
     lane_busy_us_[static_cast<size_t>(lane)] += busy;
-    busy_us_.fetch_add(busy, std::memory_order_relaxed);
     session_workers_.fetch_sub(1, std::memory_order_seq_cst);
   }
 }
@@ -318,7 +285,7 @@ Session::~Session() {
 
 int64_t ThreadPool::WorkChunks(const std::function<void(int64_t, int64_t)>& fn,
                                int64_t n, int64_t grain, int64_t num_chunks) {
-  const int64_t started_us = NowMicros();
+  const int64_t started_us = common::NowMicros();
   while (true) {
     const int64_t chunk = next_chunk_.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= num_chunks) break;
@@ -331,7 +298,7 @@ int64_t ThreadPool::WorkChunks(const std::function<void(int64_t, int64_t)>& fn,
       done_cv_.notify_all();
     }
   }
-  return NowMicros() - started_us;
+  return common::NowMicros() - started_us;
 }
 
 void ThreadPool::WorkerLoop(int lane) {
@@ -363,9 +330,8 @@ void ThreadPool::WorkerLoop(int lane) {
       chunks = region_chunks_;
       ++active_workers_;
     }
-    const int64_t busy = WorkChunks(*fn, n, grain, chunks);
-    busy_us_.fetch_add(busy, std::memory_order_relaxed);
-    lane_busy_us_[static_cast<size_t>(lane)] = busy;
+    lane_busy_us_[static_cast<size_t>(lane)] =
+        WorkChunks(*fn, n, grain, chunks);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--active_workers_ == 0 &&

@@ -11,7 +11,6 @@
 #include <vector>
 
 namespace o2sr::obs {
-class Counter;
 class Gauge;
 }  // namespace o2sr::obs
 
@@ -41,16 +40,11 @@ namespace o2sr::exec {
 // coarse-grained parallelism (e.g. bench seed replication) composes with
 // the parallel kernels underneath without deadlock or oversubscription.
 //
-// Observability: each pool owns a small instrument set under its metrics
-// prefix (default "exec.pool"):
-//   <prefix>.threads            gauge   worker count (excludes the caller)
-//   <prefix>.regions            counter parallel regions executed
-//   <prefix>.tasks              counter chunks executed
-//   <prefix>.inline_regions     counter regions that ran inline (serial)
-//   <prefix>.queue_depth        gauge   chunks enqueued by the last region
-//   <prefix>.worker_utilization gauge   busy-time fraction of the last
-//                                       dispatched region, over all
-//                                       participants (workers + caller)
+// Observability: each pool registers one gauge under its metrics prefix
+// (default "exec.pool"), <prefix>.threads, the worker count (excluding the
+// caller). Every region is recorded by obs::Profiler (when it is on): its
+// items, chunks, whether it dispatched or ran inline, and, timed with
+// common::NowMicros, its wall time and the busy time of each lane.
 // Regions may also carry a trace span: pass `trace_name` and the region
 // shows up in O2SR_TRACE_FILE exports and BENCH stages_ms. Fine-grained
 // kernels (per-matmul regions) pass nullptr — a span per matmul would
@@ -163,11 +157,6 @@ class ThreadPool {
 
   const int num_threads_;
   obs::Gauge* threads_gauge_;
-  obs::Counter* regions_counter_;
-  obs::Counter* tasks_counter_;
-  obs::Counter* inline_regions_counter_;
-  obs::Gauge* queue_depth_gauge_;
-  obs::Gauge* utilization_gauge_;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  // workers wait for a region
@@ -181,7 +170,6 @@ class ThreadPool {
   int64_t region_chunks_ = 0;
   std::atomic<int64_t> next_chunk_{0};
   std::atomic<int64_t> pending_chunks_{0};
-  std::atomic<int64_t> busy_us_{0};
   uint64_t region_epoch_ = 0;
   int active_workers_ = 0;  // workers currently inside the region
   // Per-lane busy time of the active region, for the profiler's busy/idle

@@ -87,13 +87,12 @@ void Dispatch(int64_t n, int64_t grain, const char* name, Fn&& fn) {
   exec::CurrentPool().RunChunks(n, grain, fn, nullptr, name);
 }
 
-// Forward-pass attribution, same accounting as the pre-plan tape: each op
-// allocates its output plus a same-shaped grad, and moves its operands and
-// output once. Items = output elements.
+// Forward-pass attribution: each op moves its operands and output once.
+// Items = output elements.
 inline void ProfileOp(const char* name, const Tensor& out,
                       uint64_t operand_bytes) {
-  O2SR_PROFILE_OP(name, uint64_t{2} * out.size() * sizeof(float),
-                  operand_bytes + out.size() * sizeof(float), out.size());
+  O2SR_PROFILE_OP(name, operand_bytes + out.size() * sizeof(float),
+                  out.size());
 }
 
 inline uint64_t TensorBytes(const Tensor& t) {

@@ -11,18 +11,12 @@ namespace o2sr::nn {
 
 namespace {
 
-// Kernels dispatch to exec::CurrentPool() with grain sizes that keep a
-// chunk at roughly this many flops; anything smaller runs inline (a single
-// chunk never leaves the calling thread). The grain depends only on the
-// shapes, never on the thread count, which is what keeps results
-// bit-identical at any O2SR_THREADS (see DESIGN.md §8).
-constexpr int64_t kFlopsPerChunk = int64_t{1} << 16;
-// Elementwise ops and reductions chunk by element count.
+// Elementwise ops and reductions dispatch to exec::CurrentPool() in chunks
+// of this many elements; anything smaller runs inline (a single chunk never
+// leaves the calling thread). The grain depends only on the size, never on
+// the thread count, which is what keeps results bit-identical at any
+// O2SR_THREADS (see DESIGN.md §8).
 constexpr int64_t kElementGrain = int64_t{1} << 15;
-
-int64_t RowGrain(int64_t flops_per_row) {
-  return std::max<int64_t>(1, kFlopsPerChunk / std::max<int64_t>(1, flops_per_row));
-}
 
 }  // namespace
 
@@ -63,7 +57,7 @@ void Tensor::Fill(float value) {
 
 void Tensor::AddInPlace(const Tensor& other) {
   O2SR_CHECK(SameShape(other));
-  O2SR_PROFILE_OP("tensor.add_inplace", 0,
+  O2SR_PROFILE_OP("tensor.add_inplace",
                   uint64_t{3} * data_.size() * sizeof(float), data_.size());
   exec::CurrentPool().RunChunks(
       static_cast<int64_t>(data_.size()), kElementGrain,
@@ -74,7 +68,7 @@ void Tensor::AddInPlace(const Tensor& other) {
 }
 
 void Tensor::ScaleInPlace(float scalar) {
-  O2SR_PROFILE_OP("tensor.scale_inplace", 0,
+  O2SR_PROFILE_OP("tensor.scale_inplace",
                   uint64_t{2} * data_.size() * sizeof(float), data_.size());
   exec::CurrentPool().RunChunks(
       static_cast<int64_t>(data_.size()), kElementGrain,
@@ -88,8 +82,7 @@ void Tensor::ScaleInPlace(float scalar) {
 // exec::ThreadPool::ParallelReduce): the association is defined by the
 // grain, so the value is the same at every thread count.
 double Tensor::Sum() const {
-  O2SR_PROFILE_OP("tensor.sum", 0, data_.size() * sizeof(float),
-                  data_.size());
+  O2SR_PROFILE_OP("tensor.sum", data_.size() * sizeof(float), data_.size());
   return exec::CurrentPool().ParallelReduce(
       static_cast<int64_t>(data_.size()), kElementGrain, 0.0,
       [&](int64_t begin, int64_t end) {
@@ -103,7 +96,7 @@ double Tensor::Sum() const {
 
 double Tensor::MeanAbs() const {
   if (data_.empty()) return 0.0;
-  O2SR_PROFILE_OP("tensor.mean_abs", 0, data_.size() * sizeof(float),
+  O2SR_PROFILE_OP("tensor.mean_abs", data_.size() * sizeof(float),
                   data_.size());
   const double s = exec::CurrentPool().ParallelReduce(
       static_cast<int64_t>(data_.size()), kElementGrain, 0.0,
@@ -121,87 +114,6 @@ std::string Tensor::ShapeString() const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "[%dx%d]", rows_, cols_);
   return buf;
-}
-
-// The matmul variants parallelize over output rows: every output row is
-// produced by exactly one chunk and its per-element accumulation order is
-// the same as in a straight serial loop, so the product is bit-identical
-// at every thread count.
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  O2SR_CHECK_EQ(a.cols(), b.rows());
-  Tensor c(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  O2SR_PROFILE_OP("tensor.matmul", c.size() * sizeof(float),
-                  (a.size() + b.size() + c.size()) * sizeof(float),
-                  uint64_t{2} * m * k * n);
-  exec::CurrentPool().ParallelFor(
-      m, RowGrain(int64_t{2} * k * n), [&](int64_t i) {
-        const float* arow = a.row(static_cast<int>(i));
-        float* crow = c.row(static_cast<int>(i));
-        for (int p = 0; p < k; ++p) {
-          const float av = arow[p];
-          if (av == 0.0f) continue;
-          const float* brow = b.row(p);
-          for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      },
-      nullptr, "tensor.matmul");
-  return c;
-}
-
-Tensor MatMulTransposeA(const Tensor& a, const Tensor& b) {
-  O2SR_CHECK_EQ(a.rows(), b.rows());
-  Tensor c(a.cols(), b.cols());
-  const int k = a.rows(), m = a.cols(), n = b.cols();
-  O2SR_PROFILE_OP("tensor.matmul_ta", c.size() * sizeof(float),
-                  (a.size() + b.size() + c.size()) * sizeof(float),
-                  uint64_t{2} * m * k * n);
-  // Output row i reads column i of a; for each output element the sum still
-  // runs over p in ascending order, matching the p-outer serial loop.
-  exec::CurrentPool().ParallelFor(
-      m, RowGrain(int64_t{2} * k * n), [&](int64_t i) {
-        float* crow = c.row(static_cast<int>(i));
-        for (int p = 0; p < k; ++p) {
-          const float av = a.row(p)[i];
-          if (av == 0.0f) continue;
-          const float* brow = b.row(p);
-          for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      },
-      nullptr, "tensor.matmul_ta");
-  return c;
-}
-
-Tensor MatMulTransposeB(const Tensor& a, const Tensor& b) {
-  O2SR_CHECK_EQ(a.cols(), b.cols());
-  Tensor c(a.rows(), b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  O2SR_PROFILE_OP("tensor.matmul_tb", c.size() * sizeof(float),
-                  (a.size() + b.size() + c.size()) * sizeof(float),
-                  uint64_t{2} * m * k * n);
-  exec::CurrentPool().ParallelFor(
-      m, RowGrain(int64_t{2} * k * n), [&](int64_t i) {
-        const float* arow = a.row(static_cast<int>(i));
-        float* crow = c.row(static_cast<int>(i));
-        for (int j = 0; j < n; ++j) {
-          const float* brow = b.row(j);
-          // Four independent accumulator chains let the compiler vectorize
-          // the reduction without -ffast-math.
-          float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-          int p = 0;
-          for (; p + 4 <= k; p += 4) {
-            acc0 += arow[p] * brow[p];
-            acc1 += arow[p + 1] * brow[p + 1];
-            acc2 += arow[p + 2] * brow[p + 2];
-            acc3 += arow[p + 3] * brow[p + 3];
-          }
-          for (; p < k; ++p) acc0 += arow[p] * brow[p];
-          crow[j] = (acc0 + acc1) + (acc2 + acc3);
-        }
-      },
-      nullptr, "tensor.matmul_tb");
-  return c;
 }
 
 }  // namespace o2sr::nn

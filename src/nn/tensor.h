@@ -59,6 +59,10 @@ class Tensor {
   void Fill(float value);
   void SetZero() { Fill(0.0f); }
 
+  // The in-place ops and reductions run on exec::CurrentPool(), chunked so
+  // that they are bit-identical to the serial execution at any O2SR_THREADS
+  // (DESIGN.md §8). Small tensors stay on the calling thread.
+
   // this += other (shapes must match).
   void AddInPlace(const Tensor& other);
   // this *= scalar.
@@ -81,18 +85,6 @@ class Tensor {
   int cols_;
   std::vector<float> data_;
 };
-
-// The matmul variants and the in-place elementwise ops run on
-// exec::CurrentPool() (row-blocked, deterministic: bit-identical to the
-// serial execution at any O2SR_THREADS — see DESIGN.md §8). Small shapes
-// stay on the calling thread.
-
-// Forward-only C = A * B. Shapes: [m x k] * [k x n] -> [m x n].
-Tensor MatMul(const Tensor& a, const Tensor& b);
-// Forward-only C = A^T * B. Shapes: [k x m]^T * [k x n] -> [m x n].
-Tensor MatMulTransposeA(const Tensor& a, const Tensor& b);
-// Forward-only C = A * B^T. Shapes: [m x k] * [n x k]^T -> [m x n].
-Tensor MatMulTransposeB(const Tensor& a, const Tensor& b);
 
 }  // namespace o2sr::nn
 

@@ -1,11 +1,11 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -101,13 +101,6 @@ Status WriteCheckpoint(const GuardrailOptions& options, int epoch,
       .WithContext("writing checkpoint");
 }
 
-// Records the event in the report and forwards it to the telemetry hook.
-void Emit(TrainReport& report, const TrainHooks& hooks,
-          const obs::TrainEvent& event) {
-  report.events.push_back(event);
-  if (hooks.on_event) hooks.on_event(event);
-}
-
 }  // namespace
 
 common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
@@ -130,8 +123,6 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
       obs::MetricsRegistry::Global().GetCounter("train.recoveries");
   static obs::Counter* resumes_counter =
       obs::MetricsRegistry::Global().GetCounter("train.resumes");
-  static obs::Histogram* epoch_ms =
-      obs::MetricsRegistry::Global().GetHistogram("train.epoch_ms");
 
   TrainReport local_report;
   TrainReport& rep = report != nullptr ? *report : local_report;
@@ -173,7 +164,7 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
     event.learning_rate = adam->options().learning_rate;
     event.recoveries = recoveries;
     event.note = options.checkpoint_path;
-    Emit(rep, hooks, event);
+    rep.events.push_back(std::move(event));
   }
   rep.start_epoch = epoch;
   rep.final_learning_rate = adam->options().learning_rate;
@@ -182,7 +173,6 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
 
   while (epoch < epochs) {
     O2SR_TRACE_SCOPE("train.epoch");
-    const auto epoch_start = std::chrono::steady_clock::now();
     double loss;
     {
       O2SR_TRACE_SCOPE("train.forward_backward");
@@ -262,7 +252,7 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
       event.learning_rate = lr;
       event.recoveries = recoveries;
       event.note = trip;
-      Emit(rep, hooks, event);
+      rep.events.push_back(std::move(event));
       continue;
     }
 
@@ -273,9 +263,6 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
     rep.final_learning_rate = adam->options().learning_rate;
     good = TakeSnapshot(epoch, best_loss, store, adam, epoch_rng);
     epochs_counter->Increment();
-    epoch_ms->Observe(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - epoch_start)
-                          .count());
     obs::TrainEvent event;
     event.kind = obs::TrainEventKind::kEpoch;
     event.epoch = epoch - 1;
@@ -283,7 +270,7 @@ common::Status RunGuardedTraining(ParameterStore* store, AdamOptimizer* adam,
     event.grad_norm = grad_norm;
     event.learning_rate = adam->options().learning_rate;
     event.recoveries = recoveries;
-    Emit(rep, hooks, event);
+    rep.events.push_back(std::move(event));
     if (hooks.on_epoch_end) hooks.on_epoch_end(epoch - 1, loss);
 
     if (!options.checkpoint_path.empty() &&

@@ -65,10 +65,6 @@ struct TrainHooks {
   std::function<void(int epoch, ParameterStore& store)> post_backward;
   // Runs after each successfully completed epoch.
   std::function<void(int epoch, double loss)> on_epoch_end;
-  // Telemetry stream: one obs::TrainEvent per completed epoch (loss, grad
-  // norm, learning rate) plus one per recovery/resume, in emission order.
-  // Typically bound to obs::TelemetryStream::Append for JSONL output.
-  std::function<void(const obs::TrainEvent&)> on_event;
 };
 
 // What actually happened during a guarded run.
@@ -79,8 +75,9 @@ struct TrainReport {
   int recoveries = 0;    // sentinel trips recovered via rollback
   double final_loss = 0.0;
   double final_learning_rate = 0.0;
-  // The full telemetry stream of the run (same records as
-  // TrainHooks::on_event receives).
+  // The run's telemetry, in emission order: one obs::TrainEvent per
+  // completed epoch (loss, grad norm, learning rate) plus one per
+  // recovery/resume. Epoch durations are the "train.epoch" trace spans.
   std::vector<obs::TrainEvent> events;
 };
 

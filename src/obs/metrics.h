@@ -108,7 +108,7 @@ class MetricsRegistry {
 
   // One instrument per line, sorted by name:
   //   counter sim.orders_generated 128341
-  //   histogram train.epoch_ms count=30 sum=5123.4 p50=162.1 p95=190.3 p99=201.0
+  //   histogram serve.rank_latency_ms count=30 sum=51.2 p50=1.6 p95=1.9 p99=2.0
   void DumpText(std::ostream& os) const;
   // {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
   //  "sum":..,"p50":..,"p95":..,"p99":..}}} — keys sorted.

@@ -6,7 +6,6 @@
 
 #include "common/env.h"
 #include "obs/json.h"
-#include "obs/trace.h"
 
 namespace o2sr::obs {
 
@@ -86,13 +85,12 @@ void Profiler::RecordInlineRegion(const char* name, int64_t items,
   region.max_items = std::max(region.max_items, n);
 }
 
-void Profiler::RecordOp(const char* name, uint64_t bytes_allocated,
-                        uint64_t bytes_moved, uint64_t items) {
+void Profiler::RecordOp(const char* name, uint64_t bytes_moved,
+                        uint64_t items) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   OpProfile& op = ops_[name];
   ++op.dispatches;
-  op.bytes_allocated += bytes_allocated;
   op.bytes_moved += bytes_moved;
   op.items += items;
 }
@@ -149,7 +147,6 @@ std::string Profiler::ReportJson() const {
     first = false;
     out += JsonQuote(name) + ":{";
     out += "\"dispatches\":" + JsonNum(op.dispatches);
-    out += ",\"bytes_allocated\":" + JsonNum(op.bytes_allocated);
     out += ",\"bytes_moved\":" + JsonNum(op.bytes_moved);
     out += ",\"items\":" + JsonNum(op.items);
     out += "}";
@@ -172,28 +169,6 @@ common::Status Profiler::WriteReport(const std::string& path) const {
                                     "'");
   }
   return common::Status::Ok();
-}
-
-void Profiler::EmitTraceCounters(TraceRecorder* recorder) const {
-  const auto regions = RegionSnapshot();
-  const auto ops = OpSnapshot();
-  for (const auto& [name, r] : regions) {
-    recorder->RecordCounter(("profile.region." + name + ".chunks").c_str(),
-                            static_cast<double>(r.chunks));
-    recorder->RecordCounter(
-        ("profile.region." + name + ".idle_ms").c_str(),
-        static_cast<double>(r.IdleUs()) / 1000.0);
-  }
-  for (const auto& [name, op] : ops) {
-    recorder->RecordCounter(("profile.op." + name + ".dispatches").c_str(),
-                            static_cast<double>(op.dispatches));
-    recorder->RecordCounter(
-        ("profile.op." + name + ".bytes_allocated").c_str(),
-        static_cast<double>(op.bytes_allocated));
-    recorder->RecordCounter(
-        ("profile.op." + name + ".bytes_moved").c_str(),
-        static_cast<double>(op.bytes_moved));
-  }
 }
 
 void Profiler::ResetForTest() {

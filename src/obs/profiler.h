@@ -12,23 +12,20 @@
 
 namespace o2sr::obs {
 
-class TraceRecorder;
-
 // Performance-attribution profiler (DESIGN.md §12). Two aggregation axes:
 //
 //  * Parallel regions — every exec::ThreadPool region reports its chunking
 //    (item count, chunk count), whether it dispatched to workers or ran
 //    inline, the region wall time and the busy time of every participating
-//    lane (lane 0 is the calling thread, lanes 1.. are the pool workers).
+//    lane (lane 0 is the calling thread, lanes 1.. are the pool workers),
+//    both read from common::NowMicros, the clock trace spans read.
 //    From this the report derives the per-region busy/idle split and the
 //    fork-join overhead that ROADMAP item 1 needs to attribute the
 //    `speedup_threads4 = 0.96` regression: a region whose lanes are mostly
 //    idle is dispatch-bound, not compute-bound.
 //
-//  * Ops — tensor kernels and tape ops count dispatches, bytes allocated
-//    (fresh output storage), bytes moved (operand + result traffic) and
-//    items processed (elements or flops). Alloc churn per epoch is visible
-//    directly instead of being inferred from wall time.
+//  * Ops — tensor kernels and tape ops count dispatches, bytes moved
+//    (operand + result traffic) and items processed (elements or flops).
 //
 // The profiler is off by default: the hot-path cost of a disabled profiler
 // is one relaxed atomic load per record site. It turns on when
@@ -70,7 +67,6 @@ struct RegionProfile {
 
 struct OpProfile {
   uint64_t dispatches = 0;
-  uint64_t bytes_allocated = 0;
   uint64_t bytes_moved = 0;
   uint64_t items = 0;
 };
@@ -98,10 +94,9 @@ class Profiler {
   // One region execution that ran inline on the calling thread.
   void RecordInlineRegion(const char* name, int64_t items, int64_t chunks);
 
-  // One op dispatch. Bytes/items may be 0 when the op allocates or moves
-  // nothing worth accounting.
-  void RecordOp(const char* name, uint64_t bytes_allocated,
-                uint64_t bytes_moved, uint64_t items);
+  // One op dispatch. Bytes/items may be 0 when the op moves nothing worth
+  // accounting.
+  void RecordOp(const char* name, uint64_t bytes_moved, uint64_t items);
 
   std::map<std::string, RegionProfile> RegionSnapshot() const;
   std::map<std::string, OpProfile> OpSnapshot() const;
@@ -112,11 +107,6 @@ class Profiler {
   // deterministic workload.
   std::string ReportJson() const;
   common::Status WriteReport(const std::string& path) const;
-
-  // Emits one counter sample per op aggregate (dispatches, bytes
-  // allocated/moved) and per region aggregate (chunks) into `recorder`, so
-  // a Chrome trace carries the attribution counters next to its spans.
-  void EmitTraceCounters(TraceRecorder* recorder) const;
 
   // Drops all accumulated data (keeps the enabled flag); tests only.
   void ResetForTest();
@@ -130,14 +120,13 @@ class Profiler {
 
 // Convenience for op record sites: evaluates the arguments only when the
 // profiler is on.
-#define O2SR_PROFILE_OP(name, bytes_allocated, bytes_moved, items)       \
-  do {                                                                   \
-    ::o2sr::obs::Profiler& o2sr_profiler_ =                              \
-        ::o2sr::obs::Profiler::Global();                                 \
-    if (o2sr_profiler_.enabled()) {                                      \
-      o2sr_profiler_.RecordOp((name), (bytes_allocated), (bytes_moved),  \
-                              (items));                                  \
-    }                                                                    \
+#define O2SR_PROFILE_OP(name, bytes_moved, items)                      \
+  do {                                                                 \
+    ::o2sr::obs::Profiler& o2sr_profiler_ =                            \
+        ::o2sr::obs::Profiler::Global();                               \
+    if (o2sr_profiler_.enabled()) {                                    \
+      o2sr_profiler_.RecordOp((name), (bytes_moved), (items));         \
+    }                                                                  \
   } while (0)
 
 }  // namespace o2sr::obs

@@ -65,15 +65,6 @@ SloMonitor::SloMonitor(const SloConfig& config,
   }
 }
 
-double SloMonitor::WindowBadFractionLocked() const {
-  if (window_count_ == 0) return 0.0;
-  uint64_t bad = 0;
-  for (size_t i = 0; i < window_count_; ++i) {
-    if (window_[i].bad) ++bad;
-  }
-  return static_cast<double>(bad) / static_cast<double>(window_count_);
-}
-
 void SloMonitor::Record(const SloOutcome& outcome) {
   double bad_fraction = 0.0;
   {
@@ -85,6 +76,10 @@ void SloMonitor::Record(const SloOutcome& outcome) {
     entry.degraded = outcome.degraded;
     entry.bad = outcome.shed || outcome.deadline_miss || outcome.degraded ||
                 outcome.latency_ms > config_.slo_ms;
+    // Slots not yet written hold a default (good) entry, so this evicts a
+    // bad entry only once the ring has wrapped.
+    if (window_[next_slot_].bad) --window_bad_;
+    if (entry.bad) ++window_bad_;
     window_[next_slot_] = entry;
     next_slot_ = (next_slot_ + 1) % window_.size();
     window_count_ = std::min(window_count_ + 1, window_.size());
@@ -93,7 +88,8 @@ void SloMonitor::Record(const SloOutcome& outcome) {
     if (entry.shed) ++shed_;
     if (entry.deadline_miss) ++deadline_miss_;
     if (entry.degraded) ++degraded_;
-    bad_fraction = WindowBadFractionLocked();
+    bad_fraction = static_cast<double>(window_bad_) /
+                   static_cast<double>(window_count_);
   }
   if (burn_rate_gauge_ != nullptr) {
     const double burn = bad_fraction / (1.0 - config_.target);
@@ -115,11 +111,11 @@ SloSnapshot SloMonitor::Snapshot() const {
     snap.deadline_miss = deadline_miss_;
     snap.degraded = degraded_;
     snap.window_count = window_count_;
+    snap.window_bad = window_bad_;
     latencies.reserve(window_count_);
     for (size_t i = 0; i < window_count_; ++i) {
       const Entry& entry = window_[i];
       latencies.push_back(entry.latency_ms);
-      if (entry.bad) ++snap.window_bad;
       if (entry.shed) ++snap.window_shed;
       if (entry.deadline_miss) ++snap.window_deadline_miss;
       if (entry.degraded) ++snap.window_degraded;

@@ -28,8 +28,8 @@ class Gauge;
 // the nearest-rank method on the exact recorded values — no bucketing, so
 // a deterministic request sequence yields deterministic quantiles.
 //
-// Thread-safe; Record is a mutex + ring-buffer write, Snapshot copies and
-// sorts the window.
+// Thread-safe; Record is a mutex + ring-buffer write that keeps a running
+// count of the window's bad entries, Snapshot copies and sorts the window.
 
 struct SloConfig {
   double slo_ms = 50.0;   // per-request latency objective
@@ -97,9 +97,6 @@ class SloMonitor {
     bool degraded = false;
   };
 
-  // Requires mutex_.
-  double WindowBadFractionLocked() const;
-
   const SloConfig config_;
   Gauge* burn_rate_gauge_ = nullptr;   // null when no prefix
   Gauge* bad_fraction_gauge_ = nullptr;
@@ -109,6 +106,7 @@ class SloMonitor {
   std::vector<Entry> window_;  // ring buffer of config_.window entries
   size_t next_slot_ = 0;
   size_t window_count_ = 0;
+  uint64_t window_bad_ = 0;  // bad entries currently in the ring
   uint64_t requests_ = 0;
   uint64_t bad_ = 0;
   uint64_t shed_ = 0;

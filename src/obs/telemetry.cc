@@ -4,63 +4,6 @@
 
 namespace o2sr::obs {
 
-const char* TrainEventKindName(TrainEventKind kind) {
-  switch (kind) {
-    case TrainEventKind::kEpoch: return "epoch";
-    case TrainEventKind::kRecovery: return "recovery";
-    case TrainEventKind::kResume: return "resume";
-  }
-  return "?";
-}
-
-std::string TrainEventToJsonLine(const TrainEvent& event) {
-  std::string out = "{\"event\":";
-  out += JsonQuote(TrainEventKindName(event.kind));
-  out += ",\"epoch\":" + JsonNum(static_cast<int64_t>(event.epoch));
-  out += ",\"loss\":" + JsonNum(event.loss);
-  out += ",\"grad_norm\":" + JsonNum(event.grad_norm);
-  out += ",\"learning_rate\":" + JsonNum(event.learning_rate);
-  out += ",\"recoveries\":" + JsonNum(static_cast<int64_t>(event.recoveries));
-  if (!event.note.empty()) out += ",\"note\":" + JsonQuote(event.note);
-  out += "}";
-  return out;
-}
-
-TelemetryStream::~TelemetryStream() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-common::Status TelemetryStream::OpenFile(const std::string& path) {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  file_ = std::fopen(path.c_str(), "w");
-  if (file_ == nullptr) {
-    return common::UnavailableError("cannot open telemetry file '" + path +
-                                    "' for writing");
-  }
-  return common::Status::Ok();
-}
-
-void TelemetryStream::Append(const TrainEvent& event) {
-  events_.push_back(event);
-  if (file_ != nullptr) {
-    const std::string line = TrainEventToJsonLine(event);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-    std::fflush(file_);
-  }
-}
-
-int TelemetryStream::CountKind(TrainEventKind kind) const {
-  int n = 0;
-  for (const TrainEvent& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
 const char* PipelineEventKindName(PipelineEventKind kind) {
   switch (kind) {
     case PipelineEventKind::kTransition: return "transition";
@@ -104,21 +47,11 @@ common::Status PipelineEventLog::OpenFile(const std::string& path) {
 }
 
 void PipelineEventLog::Append(const PipelineEvent& event) {
-  events_.push_back(event);
-  if (file_ != nullptr) {
-    const std::string line = PipelineEventToJsonLine(event);
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-    std::fflush(file_);
-  }
-}
-
-int PipelineEventLog::CountKind(PipelineEventKind kind) const {
-  int n = 0;
-  for (const PipelineEvent& e : events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
+  if (file_ == nullptr) return;
+  const std::string line = PipelineEventToJsonLine(event);
+  std::fwrite(line.data(), 1, line.size(), file_);
+  std::fputc('\n', file_);
+  std::fflush(file_);
 }
 
 }  // namespace o2sr::obs

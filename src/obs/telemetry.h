@@ -3,25 +3,23 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
 namespace o2sr::obs {
 
 // Training telemetry vocabulary. The guarded trainer
-// (nn::RunGuardedTraining) emits one TrainEvent per completed epoch plus
-// one per anomaly (rollback recovery, checkpoint resume); obs defines the
-// record so every layer above nn — eval, benches, tests — can consume the
-// stream without depending on trainer internals.
+// (nn::RunGuardedTraining) records one TrainEvent per completed epoch plus
+// one per anomaly (rollback recovery, checkpoint resume) in
+// nn::TrainReport::events; obs defines the record so every layer above nn
+// — eval, benches, tests — can read it without depending on trainer
+// internals.
 
 enum class TrainEventKind {
   kEpoch = 0,     // a successfully completed epoch
   kRecovery = 1,  // sentinel trip -> rollback + learning-rate backoff
   kResume = 2,    // training picked up an existing checkpoint
 };
-
-const char* TrainEventKindName(TrainEventKind kind);
 
 struct TrainEvent {
   TrainEventKind kind = TrainEventKind::kEpoch;
@@ -31,35 +29,6 @@ struct TrainEvent {
   double learning_rate = 0.0;  // in effect after this event
   int recoveries = 0;          // cumulative recoveries so far
   std::string note;  // trip description (kRecovery) / path (kResume)
-};
-
-// One event as a single-line JSON object, e.g.
-// {"event":"epoch","epoch":3,"loss":0.0123,"grad_norm":0.5,
-//  "learning_rate":0.003,"recoveries":0}. `note` appears only when
-// non-empty. Deterministic for deterministic inputs.
-std::string TrainEventToJsonLine(const TrainEvent& event);
-
-// Accumulates the telemetry of one training run and, when a file is
-// attached, streams it as JSONL (one event per line, flushed per event so
-// a crash loses at most the in-flight record).
-class TelemetryStream {
- public:
-  TelemetryStream() = default;
-  ~TelemetryStream();
-  TelemetryStream(const TelemetryStream&) = delete;
-  TelemetryStream& operator=(const TelemetryStream&) = delete;
-
-  // Truncates and attaches `path`; subsequent events are appended there.
-  common::Status OpenFile(const std::string& path);
-
-  void Append(const TrainEvent& event);
-
-  const std::vector<TrainEvent>& events() const { return events_; }
-  int CountKind(TrainEventKind kind) const;
-
- private:
-  std::vector<TrainEvent> events_;
-  std::FILE* file_ = nullptr;
 };
 
 // Continual-pipeline telemetry vocabulary (src/pipeline, DESIGN.md §11):
@@ -93,8 +62,9 @@ struct PipelineEvent {
 // only when non-empty.
 std::string PipelineEventToJsonLine(const PipelineEvent& event);
 
-// JSONL sink for pipeline events; same flush-per-event crash semantics as
-// TelemetryStream.
+// JSONL sink for pipeline events: one event per line, flushed per event so
+// a crash loses at most the in-flight record. The events themselves are
+// kept in pipeline::PipelineReport::events.
 class PipelineEventLog {
  public:
   PipelineEventLog() = default;
@@ -106,13 +76,10 @@ class PipelineEventLog {
   // the crashed run instead of erasing its history).
   common::Status OpenFile(const std::string& path);
 
+  // Writes `event` to the attached file; a no-op when none is attached.
   void Append(const PipelineEvent& event);
 
-  const std::vector<PipelineEvent>& events() const { return events_; }
-  int CountKind(PipelineEventKind kind) const;
-
  private:
-  std::vector<PipelineEvent> events_;
   std::FILE* file_ = nullptr;
 };
 

@@ -1,22 +1,16 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/env.h"
 #include "obs/json.h"
 
 namespace o2sr::obs {
 
 namespace {
-
-int64_t SteadyNowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Nesting depth is a per-thread property: a worker's span tree is
 // independent of the caller's. The tid is a small dense id assigned in
@@ -31,7 +25,7 @@ int ThisThreadTraceId() {
 
 }  // namespace
 
-TraceRecorder::TraceRecorder() : clock_(&SteadyNowMicros) {}
+TraceRecorder::TraceRecorder() : clock_(&common::NowMicros) {}
 
 TraceRecorder::TraceRecorder(Clock clock) : clock_(std::move(clock)) {
   O2SR_CHECK(clock_ != nullptr);
@@ -85,22 +79,6 @@ void TraceRecorder::End(int64_t handle) {
   }
 }
 
-void TraceRecorder::RecordCounter(const char* name, double value) {
-  if (!recording()) return;
-  const int64_t now = clock_();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (counters_.size() >= kMaxCounters) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  TraceCounterEvent event;
-  event.name = name;
-  event.ts_us = now;
-  event.value = value;
-  event.tid = ThisThreadTraceId();
-  counters_.push_back(std::move(event));
-}
-
 size_t TraceRecorder::span_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return spans_.size();
@@ -111,15 +89,9 @@ std::vector<TraceSpan> TraceRecorder::Snapshot() const {
   return spans_;
 }
 
-std::vector<TraceCounterEvent> TraceRecorder::CounterSnapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
 void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   spans_.clear();
-  counters_.clear();
   tls_trace_depth = 0;  // only the calling thread can have open spans here
   dropped_.store(0, std::memory_order_relaxed);
 }
@@ -151,14 +123,6 @@ std::string TraceRecorder::ExportChromeTraceJson() const {
            ",\"cat\":\"o2sr\",\"ph\":\"X\",\"ts\":" + JsonNum(span.start_us) +
            ",\"dur\":" + JsonNum(dur) + ",\"pid\":0,\"tid\":" +
            JsonNum(static_cast<int64_t>(span.tid)) + "}";
-  }
-  for (const TraceCounterEvent& counter : counters_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":" + JsonQuote(counter.name) +
-           ",\"cat\":\"o2sr\",\"ph\":\"C\",\"ts\":" + JsonNum(counter.ts_us) +
-           ",\"pid\":0,\"tid\":" + JsonNum(static_cast<int64_t>(counter.tid)) +
-           ",\"args\":{\"value\":" + JsonNum(counter.value) + "}}";
   }
   out += "]}";
   return out;

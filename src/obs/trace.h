@@ -31,7 +31,8 @@ namespace o2sr::obs {
 //  * StageMillis() — wall-clock totals aggregated by span name, used by
 //    the bench reports for per-stage timing cells.
 //
-// Spans are process-global and single-clocked; recording from multiple
+// Spans are process-global and timed with common::NowMicros, the clock
+// that also times profiler regions; recording from multiple
 // threads is safe: the span buffer is mutex-protected and nesting depth is
 // tracked per thread, so spans opened on exec::ThreadPool workers (parallel
 // regions, bench seed replicas) nest correctly within their own thread.
@@ -45,22 +46,12 @@ struct TraceSpan {
   int tid = 0;          // small per-thread id, first-use order
 };
 
-// A point-in-time counter sample, exported as a Chrome trace_event counter
-// ("ph":"C") so chrome://tracing renders it as a stacked counter track.
-// The profiler emits these for its dispatch/allocation aggregates.
-struct TraceCounterEvent {
-  std::string name;
-  int64_t ts_us = 0;
-  double value = 0.0;
-  int tid = 0;
-};
-
 class TraceRecorder {
  public:
   // Microsecond clock; injectable so tests get deterministic timestamps.
   using Clock = std::function<int64_t()>;
 
-  TraceRecorder();                       // steady_clock-backed
+  TraceRecorder();                       // common::NowMicros
   explicit TraceRecorder(Clock clock);   // test clock
 
   // The process-wide recorder used by O2SR_TRACE_SCOPE. On first use it
@@ -82,16 +73,11 @@ class TraceRecorder {
   int64_t Begin(const char* name);
   void End(int64_t handle);
 
-  // Records one counter sample at the current clock value (dropped when not
-  // recording or past the counter cap).
-  void RecordCounter(const char* name, double value);
-
   size_t span_count() const;
   uint64_t dropped_spans() const {
     return dropped_.load(std::memory_order_relaxed);
   }
   std::vector<TraceSpan> Snapshot() const;
-  std::vector<TraceCounterEvent> CounterSnapshot() const;
   void Clear();
 
   // Wall-clock milliseconds summed per span name (every depth by default;
@@ -102,9 +88,7 @@ class TraceRecorder {
 
   // {"displayTimeUnit":"ms","traceEvents":[{"name":..,"cat":"o2sr",
   //  "ph":"X","ts":..,"dur":..,"pid":0,"tid":0},...]} — spans in recording
-  //  order; open spans are closed at the current clock value. Counter
-  //  samples follow the spans as "ph":"C" events carrying
-  //  {"args":{"value":..}}.
+  //  order; open spans are closed at the current clock value.
   std::string ExportChromeTraceJson() const;
   common::Status WriteChromeTrace(const std::string& path) const;
 
@@ -114,11 +98,9 @@ class TraceRecorder {
   std::atomic<uint64_t> dropped_{0};
   mutable std::mutex mutex_;
   std::vector<TraceSpan> spans_;
-  std::vector<TraceCounterEvent> counters_;
   // Keep the span buffer bounded; a long-running process should not grow
   // without limit. Coarse-grained spans never come close to this.
   static constexpr size_t kMaxSpans = 1 << 20;
-  static constexpr size_t kMaxCounters = 1 << 16;
 };
 
 // RAII span over the enclosing scope.

@@ -1,15 +1,17 @@
 #ifndef O2SR_SERVE_DEADLINE_H_
 #define O2SR_SERVE_DEADLINE_H_
 
-#include <chrono>
+#include <cstdint>
 #include <limits>
+
+#include "common/clock.h"
 
 namespace o2sr::serve {
 
-// Per-request latency budget, carried through the serving path as a fixed
-// point on the steady clock. Copyable and cheap; the default-constructed
-// Deadline is infinite (never expires), so callers that don't care pay
-// nothing.
+// Per-request latency budget, carried through the serving path as an
+// expiry instant on common::NowMicros, the clock that times the request.
+// Copyable and cheap; the default-constructed Deadline is infinite (never
+// expires), so callers that don't care pay nothing.
 //
 // The contract (DESIGN.md §10): the engine checks the deadline *before*
 // each expensive step, never mid-kernel. A request whose deadline has
@@ -19,38 +21,35 @@ namespace o2sr::serve {
 // burning compute the client has stopped waiting for.
 class Deadline {
  public:
-  using Clock = std::chrono::steady_clock;
-
   // Infinite: never expires.
   Deadline() = default;
 
   static Deadline Infinite() { return Deadline(); }
 
-  // Expires `budget_ms` milliseconds from now. Non-positive budgets are
-  // already expired.
+  // Expires `budget_ms` milliseconds from now, truncated to whole
+  // microseconds. Non-positive budgets are already expired.
   static Deadline AfterMs(double budget_ms) {
     Deadline d;
     d.infinite_ = false;
-    d.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double, std::milli>(
-                                   budget_ms));
+    d.at_us_ = common::NowMicros() + static_cast<int64_t>(budget_ms * 1e3);
     return d;
   }
 
   bool infinite() const { return infinite_; }
-  bool expired() const { return !infinite_ && Clock::now() >= at_; }
+  bool expired() const {
+    return !infinite_ && common::NowMicros() >= at_us_;
+  }
 
   // Remaining budget in milliseconds; +infinity when infinite, <= 0 when
   // expired.
   double remaining_ms() const {
     if (infinite_) return std::numeric_limits<double>::infinity();
-    return std::chrono::duration<double, std::milli>(at_ - Clock::now())
-        .count();
+    return static_cast<double>(at_us_ - common::NowMicros()) / 1e3;
   }
 
  private:
   bool infinite_ = true;
-  Clock::time_point at_{};
+  int64_t at_us_ = 0;
 };
 
 }  // namespace o2sr::serve

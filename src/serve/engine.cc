@@ -1,11 +1,11 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <thread>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/env.h"
 #include "common/fault.h"
 #include "obs/log.h"
@@ -72,12 +72,6 @@ core::InteractionList ScorablePairs(const core::SiteRecommender& model,
   core::InteractionList pairs;
   CollectScorablePairs(model, type, candidates, &seen, &pairs);
   return pairs;
-}
-
-double ElapsedMs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 }  // namespace
@@ -361,13 +355,13 @@ void ServingEngine::NotifyHealthChange(ServeHealth from,
 }
 
 common::StatusOr<RankResponse> ServingEngine::ShedRequest(
-    EngineShard& shard, const char* reason, double latency_ms,
+    EngineShard& shard, const char* reason, int64_t start_us,
     bool deadline_miss) const {
   shed_->Increment();
   shed_total_.fetch_add(1, std::memory_order_relaxed);
   shard.counters.shed.fetch_add(1, std::memory_order_relaxed);
   obs::SloOutcome outcome;
-  outcome.latency_ms = latency_ms;
+  outcome.latency_ms = (common::NowMicros() - start_us) / 1e3;
   outcome.shed = true;
   outcome.deadline_miss = deadline_miss;
   slo_.Record(outcome);
@@ -519,14 +513,14 @@ common::Status ServingEngine::ScoreLadder(EngineShard& shard,
 
 common::StatusOr<RankResponse> ServingEngine::RankAdmitted(
     EngineShard& shard, const Active& active, const RankRequest& request,
-    Scratch* scratch, std::chrono::steady_clock::time_point start) const {
+    Scratch* scratch, int64_t start_us) const {
   Deadline deadline = request.deadline;
   if (deadline.infinite() && options_.default_deadline_ms > 0.0) {
     deadline = Deadline::AfterMs(options_.default_deadline_ms);
   }
   if (deadline.expired()) {
-    return ShedRequest(shard, "deadline expired before admission",
-                       ElapsedMs(start), /*deadline_miss=*/true);
+    return ShedRequest(shard, "deadline expired before admission", start_us,
+                       /*deadline_miss=*/true);
   }
 
   CollectScorablePairs(*active.model, request.type, request.candidates,
@@ -540,7 +534,7 @@ common::StatusOr<RankResponse> ServingEngine::RankAdmitted(
     // The client got no ranking: in SLO terms this counts like a shed
     // request (and a deadline miss when the budget ran out mid-flight).
     obs::SloOutcome outcome;
-    outcome.latency_ms = ElapsedMs(start);
+    outcome.latency_ms = (common::NowMicros() - start_us) / 1e3;
     outcome.shed = true;
     outcome.deadline_miss = deadline.expired();
     slo_.Record(outcome);
@@ -552,7 +546,7 @@ common::StatusOr<RankResponse> ServingEngine::RankAdmitted(
   }
   RecordOutcome(response.tier);
 
-  const double latency = ElapsedMs(start);
+  const double latency = (common::NowMicros() - start_us) / 1e3;
   latency_ms_->Observe(latency);
   obs::SloOutcome outcome;
   outcome.latency_ms = latency;
@@ -564,7 +558,7 @@ common::StatusOr<RankResponse> ServingEngine::RankAdmitted(
 
 common::StatusOr<RankResponse> ServingEngine::Rank(
     const RankRequest& request) const {
-  const auto start = std::chrono::steady_clock::now();
+  const int64_t start_us = common::NowMicros();
   EngineShard& shard = ShardForThisThread();
   requests_->Increment();
   requests_total_.fetch_add(1, std::memory_order_relaxed);
@@ -575,17 +569,17 @@ common::StatusOr<RankResponse> ServingEngine::Rank(
   }
   if (health_relaxed_.load(std::memory_order_relaxed) ==
       static_cast<int>(ServeHealth::kLameDuck)) {
-    return ShedRequest(shard, "engine is in LAME_DUCK", ElapsedMs(start),
+    return ShedRequest(shard, "engine is in LAME_DUCK", start_us,
                        /*deadline_miss=*/false);
   }
   AdmissionController::Ticket ticket(admission_);
   if (!ticket.admitted()) {
     return ShedRequest(shard, "admission queue past its high-water mark",
-                       ElapsedMs(start), /*deadline_miss=*/false);
+                       start_us, /*deadline_miss=*/false);
   }
   const std::shared_ptr<const Active> active = CurrentActive();
   Scratch scratch;
-  return RankAdmitted(shard, *active, request, &scratch, start);
+  return RankAdmitted(shard, *active, request, &scratch, start_us);
 }
 
 std::vector<common::StatusOr<RankResponse>> ServingEngine::RankSitesBatch(
@@ -609,7 +603,7 @@ std::vector<common::StatusOr<RankResponse>> ServingEngine::RankSitesBatch(
                                                       : &exec::CurrentPool());
   Scratch scratch;
   for (const RankRequest& request : requests) {
-    const auto start = std::chrono::steady_clock::now();
+    const int64_t start_us = common::NowMicros();
     requests_->Increment();
     requests_total_.fetch_add(1, std::memory_order_relaxed);
     shard.counters.requests.fetch_add(1, std::memory_order_relaxed);
@@ -620,18 +614,18 @@ std::vector<common::StatusOr<RankResponse>> ServingEngine::RankSitesBatch(
     }
     if (health_relaxed_.load(std::memory_order_relaxed) ==
         static_cast<int>(ServeHealth::kLameDuck)) {
-      out.emplace_back(ShedRequest(shard, "engine is in LAME_DUCK",
-                                   ElapsedMs(start),
+      out.emplace_back(ShedRequest(shard, "engine is in LAME_DUCK", start_us,
                                    /*deadline_miss=*/false));
       continue;
     }
     if (!ticket.admitted()) {
       out.emplace_back(
           ShedRequest(shard, "admission queue past its high-water mark",
-                      ElapsedMs(start), /*deadline_miss=*/false));
+                      start_us, /*deadline_miss=*/false));
       continue;
     }
-    out.emplace_back(RankAdmitted(shard, *active, request, &scratch, start));
+    out.emplace_back(
+        RankAdmitted(shard, *active, request, &scratch, start_us));
   }
   return out;
 }

@@ -2,7 +2,6 @@
 #define O2SR_SERVE_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -394,17 +393,20 @@ class ServingEngine {
 
   // The post-admission tail of Rank, shared by the serial and batched
   // paths: deadline resolution, pair collection, ladder scoring, top-K,
-  // health + SLO accounting. `start` anchors the latency measurement.
-  common::StatusOr<RankResponse> RankAdmitted(
-      EngineShard& shard, const Active& active, const RankRequest& request,
-      Scratch* scratch,
-      std::chrono::steady_clock::time_point start) const;
+  // health + SLO accounting. `start_us`, the common::NowMicros reading taken
+  // when the request arrived, anchors the latency measurement.
+  common::StatusOr<RankResponse> RankAdmitted(EngineShard& shard,
+                                              const Active& active,
+                                              const RankRequest& request,
+                                              Scratch* scratch,
+                                              int64_t start_us) const;
 
   void RecordOutcome(ServeTier tier) const;
   void NotifyHealthChange(ServeHealth from, ServeHealth to) const;
+  // Rejects a request that arrived at `start_us` and records it as shed.
   common::StatusOr<RankResponse> ShedRequest(EngineShard& shard,
                                              const char* reason,
-                                             double latency_ms,
+                                             int64_t start_us,
                                              bool deadline_miss) const;
 
   ServingOptions options_;

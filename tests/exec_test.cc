@@ -164,34 +164,20 @@ TEST(SessionTest, ManyShortSessionsNeitherCrashNorHang) {
   for (int64_t v : visits) EXPECT_EQ(v, kSessions);
 }
 
+// A pool registers only its worker-count gauge; the profiler records its
+// regions (GlobalProfilerTest in profiler_test.cc).
 TEST(ThreadPoolMetricsTest, CountsRegionsAndTasks) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   ThreadPool pool(2, "exec.test_metrics");
-  obs::Counter* regions = reg.GetCounter("exec.test_metrics.regions");
-  obs::Counter* tasks = reg.GetCounter("exec.test_metrics.tasks");
-  obs::Gauge* threads = reg.GetGauge("exec.test_metrics.threads");
-  obs::Gauge* depth = reg.GetGauge("exec.test_metrics.queue_depth");
-  obs::Gauge* util = reg.GetGauge("exec.test_metrics.worker_utilization");
-
+  obs::Gauge* threads =
+      obs::MetricsRegistry::Global().GetGauge("exec.test_metrics.threads");
   EXPECT_EQ(threads->value(), 1.0);  // workers exclude the caller
-  const uint64_t regions_before = regions->value();
-  const uint64_t tasks_before = tasks->value();
-  pool.ParallelFor(100, 10, [](int64_t) {});
-  EXPECT_EQ(regions->value(), regions_before + 1);
-  EXPECT_EQ(tasks->value(), tasks_before + 10);
-  EXPECT_EQ(depth->value(), 0.0);  // drained once the region completes
-  EXPECT_GE(util->value(), 0.0);
-  EXPECT_LE(util->value(), 1.0);
 }
 
 TEST(ThreadPoolMetricsTest, InlineRegionsAreCounted) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   ThreadPool pool(1, "exec.test_inline");
-  obs::Counter* inline_regions =
-      reg.GetCounter("exec.test_inline.inline_regions");
-  const uint64_t before = inline_regions->value();
-  pool.ParallelFor(50, 10, [](int64_t) {});
-  EXPECT_EQ(inline_regions->value(), before + 1);
+  obs::Gauge* threads =
+      obs::MetricsRegistry::Global().GetGauge("exec.test_inline.threads");
+  EXPECT_EQ(threads->value(), 0.0);  // a one-lane pool spawns no workers
 }
 
 }  // namespace

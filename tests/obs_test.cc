@@ -336,53 +336,40 @@ TEST(TraceTest, RecordingOffDropsSpans) {
 TEST(TraceTest, CounterEventsExportAfterSpans) {
   int64_t now = 0;
   TraceRecorder recorder([&now] { return now; });
-  const int64_t h = recorder.Begin("span");
+  const int64_t outer = recorder.Begin("outer");
   now = 10;
-  recorder.End(h);
+  const int64_t inner = recorder.Begin("inner");
   now = 20;
-  recorder.RecordCounter("profile.op.matmul.dispatches", 42.0);
-
-  const auto counters = recorder.CounterSnapshot();
-  ASSERT_EQ(counters.size(), 1u);
-  EXPECT_EQ(counters[0].name, "profile.op.matmul.dispatches");
-  EXPECT_EQ(counters[0].ts_us, 20);
-  EXPECT_DOUBLE_EQ(counters[0].value, 42.0);
-
-  const std::string json = recorder.ExportChromeTraceJson();
-  const size_t span_pos = json.find("\"ph\":\"X\"");
-  const size_t counter_pos = json.find("\"ph\":\"C\"");
-  ASSERT_NE(span_pos, std::string::npos) << json;
-  ASSERT_NE(counter_pos, std::string::npos) << json;
-  EXPECT_LT(span_pos, counter_pos);
-  EXPECT_NE(json.find("\"args\":{\"value\":42}"), std::string::npos) << json;
+  recorder.End(inner);
+  recorder.End(outer);
 
   // The parser must accept our own export (the trace validation in ci.sh
-  // depends on this).
-  const auto parsed = ParseJson(json);
+  // depends on this), and every event is a complete span.
+  const auto parsed = ParseJson(recorder.ExportChromeTraceJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const JsonValue* events = parsed->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
+  ASSERT_EQ(events->items().size(), 2u);
   for (const JsonValue& event : events->items()) {
     EXPECT_NE(event.Find("name"), nullptr);
-    EXPECT_NE(event.Find("ph"), nullptr);
     EXPECT_NE(event.Find("ts"), nullptr);
+    EXPECT_NE(event.Find("dur"), nullptr);
     EXPECT_NE(event.Find("tid"), nullptr);
+    ASSERT_NE(event.Find("ph"), nullptr);
+    EXPECT_EQ(event.Find("ph")->string_value(), "X");
   }
 }
 
 TEST(TraceTest, RecordingOffDropsCountersAndClearResets) {
   int64_t now = 0;
   TraceRecorder recorder([&now] { return now; });
-  recorder.SetRecording(false);
-  recorder.RecordCounter("dropped", 1.0);
-  EXPECT_TRUE(recorder.CounterSnapshot().empty());
-  recorder.SetRecording(true);
-  recorder.RecordCounter("kept", 2.0);
-  EXPECT_EQ(recorder.CounterSnapshot().size(), 1u);
+  { ScopedTrace scope("kept", &recorder); }
+  EXPECT_EQ(recorder.span_count(), 1u);
   recorder.Clear();
-  EXPECT_TRUE(recorder.CounterSnapshot().empty());
   EXPECT_EQ(recorder.span_count(), 0u);
+  EXPECT_TRUE(recorder.Snapshot().empty());
+  EXPECT_TRUE(recorder.StageMillis().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@
 #include "graphs/geo_graph.h"
 #include "graphs/hetero_graph.h"
 #include "graphs/mobility_graph.h"
+#include "nn/parameter.h"
+#include "nn/tape.h"
 #include "nn/tensor.h"
 #include "sim/dataset.h"
 
@@ -50,18 +52,29 @@ void ExpectTensorsBitIdentical(const nn::Tensor& a, const nn::Tensor& b) {
   }
 }
 
+// Tape::MatMul forward and backward. At op_exec's 2^21-flop grain these
+// shapes split nn.matmul and nn.matmul_tb into 32 chunks of 64 rows and
+// nn.matmul_ta into 32 chunks of 4 rows, so every kernel fans out.
 TEST(ParallelDeterminismTest, MatMulBitIdentical) {
   Rng rng(7);
-  const nn::Tensor a = nn::Tensor::RandomNormal(67, 43, 1.0, rng);
-  const nn::Tensor b = nn::Tensor::RandomNormal(43, 29, 1.0, rng);
-  ExpectSameAtAllThreadCounts([&] { return nn::MatMul(a, b); },
-                              ExpectTensorsBitIdentical);
+  nn::ParameterStore store;
+  nn::Parameter* a = store.CreateNormal("a", 2048, 128, 1.0, rng);
+  nn::Parameter* b = store.CreateNormal("b", 128, 128, 1.0, rng);
   ExpectSameAtAllThreadCounts(
-      [&] { return nn::MatMulTransposeB(a, nn::Tensor::Full(29, 43, 0.5f)); },
-      ExpectTensorsBitIdentical);
-  ExpectSameAtAllThreadCounts(
-      [&] { return nn::MatMulTransposeA(a, nn::Tensor::Full(67, 29, 0.5f)); },
-      ExpectTensorsBitIdentical);
+      [&] {
+        store.ZeroGrads();
+        nn::Tape tape;
+        const nn::Value c = tape.MatMul(tape.Param(a), tape.Param(b));
+        tape.Backward(tape.MeanAll(tape.Mul(c, c)));
+        return std::vector<nn::Tensor>{tape.value(c), a->grad, b->grad};
+      },
+      [](const std::vector<nn::Tensor>& want,
+         const std::vector<nn::Tensor>& got) {
+        ASSERT_EQ(want.size(), got.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          ExpectTensorsBitIdentical(want[i], got[i]);
+        }
+      });
 }
 
 TEST(ParallelDeterminismTest, ReductionsBitIdentical) {

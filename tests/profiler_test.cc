@@ -1,15 +1,18 @@
 // Tests of the performance-attribution profiler (obs/profiler.h): op and
 // region aggregation, the determinism contract on count fields, the JSON
-// report shape, trace-counter emission, and the live hooks in
-// exec::ThreadPool and the tensor kernels.
+// report shape, the live hooks in exec::ThreadPool and the tensor kernels,
+// and the one clock that regions and trace spans share.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "nn/tensor.h"
@@ -26,18 +29,17 @@ namespace {
 TEST(ProfilerTest, OpAggregation) {
   Profiler p;
   p.Enable(true);
-  p.RecordOp("matmul", 100, 300, 50);
-  p.RecordOp("matmul", 100, 300, 50);
-  p.RecordOp("add", 0, 24, 6);
+  p.RecordOp("matmul", 300, 50);
+  p.RecordOp("matmul", 300, 50);
+  p.RecordOp("add", 24, 6);
 
   const auto ops = p.OpSnapshot();
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops.at("matmul").dispatches, 2u);
-  EXPECT_EQ(ops.at("matmul").bytes_allocated, 200u);
   EXPECT_EQ(ops.at("matmul").bytes_moved, 600u);
   EXPECT_EQ(ops.at("matmul").items, 100u);
   EXPECT_EQ(ops.at("add").dispatches, 1u);
-  EXPECT_EQ(ops.at("add").bytes_allocated, 0u);
+  EXPECT_EQ(ops.at("add").bytes_moved, 24u);
 }
 
 TEST(ProfilerTest, RegionAggregationAndEfficiency) {
@@ -85,7 +87,7 @@ TEST(ProfilerTest, UnnamedRegionsBucketUnderKernel) {
 
 TEST(ProfilerTest, DisabledRecordsNothing) {
   Profiler p;
-  p.RecordOp("op", 1, 1, 1);
+  p.RecordOp("op", 1, 1);
   const int64_t lanes[] = {1};
   p.RecordDispatchedRegion("r", 1, 1, 1, lanes, 1);
   p.RecordInlineRegion("r", 1, 1);
@@ -101,7 +103,7 @@ TEST(ProfilerTest, ReportJsonIsParseableAndCarriesCounts) {
   p.Enable(true);
   const int64_t lanes[] = {90, 50};
   p.RecordDispatchedRegion("exec.rows", 1000, 16, 100, lanes, 2);
-  p.RecordOp("tensor.matmul", 400, 1200, 2000);
+  p.RecordOp("tensor.matmul", 1200, 2000);
 
   const std::string json = p.ReportJson();
   // Byte-deterministic for the same recorded data.
@@ -124,35 +126,9 @@ TEST(ProfilerTest, ReportJsonIsParseableAndCarriesCounts) {
   const JsonValue* op = parsed->Find("ops")->Find("tensor.matmul");
   ASSERT_NE(op, nullptr);
   EXPECT_DOUBLE_EQ(op->NumberOr("dispatches", 0), 1.0);
-  EXPECT_DOUBLE_EQ(op->NumberOr("bytes_allocated", 0), 400.0);
   EXPECT_DOUBLE_EQ(op->NumberOr("bytes_moved", 0), 1200.0);
-}
-
-TEST(ProfilerTest, EmitTraceCountersProducesCounterEvents) {
-  Profiler p;
-  p.Enable(true);
-  const int64_t lanes[] = {10, 2};
-  p.RecordDispatchedRegion("exec.rows", 100, 4, 10, lanes, 2);
-  p.RecordOp("tensor.add", 0, 96, 24);
-
-  int64_t now = 7;
-  TraceRecorder recorder([&now] { return now; });
-  p.EmitTraceCounters(&recorder);
-  const auto counters = recorder.CounterSnapshot();
-  ASSERT_FALSE(counters.empty());
-  bool saw_chunks = false, saw_dispatches = false;
-  for (const TraceCounterEvent& c : counters) {
-    if (c.name == "profile.region.exec.rows.chunks") {
-      saw_chunks = true;
-      EXPECT_DOUBLE_EQ(c.value, 4.0);
-    }
-    if (c.name == "profile.op.tensor.add.dispatches") {
-      saw_dispatches = true;
-      EXPECT_DOUBLE_EQ(c.value, 1.0);
-    }
-  }
-  EXPECT_TRUE(saw_chunks);
-  EXPECT_TRUE(saw_dispatches);
+  EXPECT_DOUBLE_EQ(op->NumberOr("items", 0), 2000.0);
+  EXPECT_EQ(op->Find("bytes_allocated"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,18 +196,17 @@ TEST_F(GlobalProfilerTest, CountFieldsAreThreadCountInvariant) {
 
 TEST_F(GlobalProfilerTest, TensorKernelsRecordOps) {
   Rng rng(1);
-  nn::Tensor a = nn::Tensor::RandomNormal(8, 4, 1.0, rng);
-  nn::Tensor b = nn::Tensor::RandomNormal(4, 6, 1.0, rng);
-  nn::Tensor c = nn::MatMul(a, b);
-  (void)c;
+  nn::Tensor a = nn::Tensor::RandomNormal(8, 6, 1.0, rng);
+  const nn::Tensor b = nn::Tensor::RandomNormal(8, 6, 1.0, rng);
+  a.AddInPlace(b);
 
   const auto ops = Profiler::Global().OpSnapshot();
-  ASSERT_EQ(ops.count("tensor.matmul"), 1u);
-  const OpProfile& op = ops.at("tensor.matmul");
+  ASSERT_EQ(ops.count("tensor.add_inplace"), 1u);
+  const OpProfile& op = ops.at("tensor.add_inplace");
   EXPECT_EQ(op.dispatches, 1u);
-  EXPECT_EQ(op.bytes_allocated, 8u * 6u * sizeof(float));
-  EXPECT_EQ(op.bytes_moved, (8u * 4u + 4u * 6u + 8u * 6u) * sizeof(float));
-  EXPECT_EQ(op.items, uint64_t{2} * 8 * 4 * 6);  // 2*m*k*n flops
+  // Reads both operands and writes the result.
+  EXPECT_EQ(op.bytes_moved, 3u * 8u * 6u * sizeof(float));
+  EXPECT_EQ(op.items, 8u * 6u);
 }
 
 TEST_F(GlobalProfilerTest, DisabledProfilerSeesNothingFromHooks) {
@@ -240,10 +215,44 @@ TEST_F(GlobalProfilerTest, DisabledProfilerSeesNothingFromHooks) {
   pool.ParallelFor(64, /*grain=*/8, [](int64_t) {}, "exec.off");
   Rng rng(1);
   nn::Tensor a = nn::Tensor::RandomNormal(2, 2, 1.0, rng);
-  nn::Tensor b = nn::Tensor::RandomNormal(2, 2, 1.0, rng);
-  (void)nn::MatMul(a, b);
+  const nn::Tensor b = nn::Tensor::RandomNormal(2, 2, 1.0, rng);
+  a.AddInPlace(b);
   EXPECT_TRUE(Profiler::Global().RegionSnapshot().empty());
   EXPECT_TRUE(Profiler::Global().OpSnapshot().empty());
+}
+
+// Trace spans and profiler regions read the same clock, common::NowMicros:
+// a span and a dispatched region recorded between two readings of it lie
+// between those readings.
+TEST_F(GlobalProfilerTest, SpansAndRegionsReadOneClock) {
+  TraceRecorder& recorder = TraceRecorder::Global();
+  recorder.Clear();
+  exec::ThreadPool pool(2);
+  const int64_t before_us = common::NowMicros();
+  {
+    ScopedTrace span("profiler_test.one_clock", &recorder);
+    // Two 1 ms chunks, so every duration spans many clock ticks.
+    pool.ParallelFor(
+        2, /*grain=*/1,
+        [](int64_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        },
+        nullptr, "profiler_test.one_clock_region");
+  }
+  const int64_t after_us = common::NowMicros();
+
+  const std::vector<TraceSpan> spans = recorder.Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_GE(spans[0].start_us, before_us);
+  EXPECT_LE(spans[0].start_us + spans[0].dur_us, after_us);
+
+  const RegionProfile region =
+      Profiler::Global().RegionSnapshot().at("profiler_test.one_clock_region");
+  ASSERT_EQ(region.dispatched, 1u);
+  EXPECT_GE(region.wall_us, 1000);  // microseconds: at least one 1 ms chunk
+  EXPECT_LE(region.wall_us, spans[0].dur_us);
+  EXPECT_LE(region.wall_us, after_us - before_us);
+  recorder.Clear();
 }
 
 }  // namespace

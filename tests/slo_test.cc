@@ -130,6 +130,22 @@ TEST(SloMonitorTest, GaugesTrackTheWindow) {
                    1.0);
   EXPECT_DOUBLE_EQ(registry.GetGauge("slo_test.gauges.breached")->value(),
                    1.0);
+
+  // A window of 4: fill it with bad requests, then evict them with good
+  // ones. The gauge follows the running count and agrees with Snapshot
+  // after every Record, through the evictions.
+  cfg.window = 4;
+  SloMonitor small(cfg, "slo_test.gauges4");
+  Gauge* bad_fraction = registry.GetGauge("slo_test.gauges4.bad_fraction");
+  const double want[] = {1.0, 1.0, 1.0, 1.0, 0.75, 0.5, 0.25, 0.0, 0.0};
+  for (int i = 0; i < 9; ++i) {
+    small.Record(Ok(i < 4 ? 100.0 : 1.0));
+    EXPECT_DOUBLE_EQ(bad_fraction->value(), want[i]) << "record " << i;
+    EXPECT_EQ(bad_fraction->value(), small.Snapshot().bad_fraction)
+        << "record " << i;
+  }
+  EXPECT_EQ(small.Snapshot().window_bad, 0u);
+  EXPECT_EQ(small.Snapshot().bad, 4u);
 }
 
 TEST(SloMonitorTest, InvalidConfigClampsToDefaults) {

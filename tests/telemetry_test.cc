@@ -1,10 +1,10 @@
-// Training telemetry: the guarded trainer emits one TrainEvent per
-// completed epoch plus one per recovery/resume, TelemetryStream persists
-// the stream as JSONL, and eval::RunOnce wires the stream through to the
-// caller.
+// Training telemetry: the guarded trainer records one TrainEvent per
+// completed epoch plus one per recovery/resume in TrainReport::events, and
+// eval::RunOnce hands that report to the caller.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,7 +16,6 @@
 #include "eval/experiment.h"
 #include "nn/parameter.h"
 #include "nn/trainer.h"
-#include "obs/telemetry.h"
 
 namespace o2sr {
 namespace {
@@ -30,12 +29,10 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-std::vector<std::string> ReadLines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
+int CountKind(const std::vector<TrainEvent>& events, TrainEventKind kind) {
+  return static_cast<int>(
+      std::count_if(events.begin(), events.end(),
+                    [kind](const TrainEvent& e) { return e.kind == kind; }));
 }
 
 // Same synthetic-run scaffolding as tests/fault_tolerance_test.cc: the
@@ -54,64 +51,28 @@ struct SyntheticRun {
   }
 };
 
-TEST(TelemetryTest, JsonLineFormat) {
-  TrainEvent event;
-  event.kind = TrainEventKind::kEpoch;
-  event.epoch = 3;
-  event.loss = 0.25;
-  event.grad_norm = 0.5;
-  event.learning_rate = 0.003;
-  event.recoveries = 0;
-  EXPECT_EQ(obs::TrainEventToJsonLine(event),
-            "{\"event\":\"epoch\",\"epoch\":3,\"loss\":0.25,"
-            "\"grad_norm\":0.5,\"learning_rate\":0.003,\"recoveries\":0}");
-
-  event.kind = TrainEventKind::kRecovery;
-  event.recoveries = 1;
-  event.note = "non-finite loss";
-  EXPECT_NE(obs::TrainEventToJsonLine(event).find(
-                "\"event\":\"recovery\""),
-            std::string::npos);
-  EXPECT_NE(obs::TrainEventToJsonLine(event).find(
-                "\"note\":\"non-finite loss\""),
-            std::string::npos);
-}
-
 TEST(TelemetryTest, CleanRunEmitsOneEpochEventPerEpoch) {
   SyntheticRun run;
-  obs::TelemetryStream stream;
-  nn::TrainHooks hooks;
-  hooks.on_event = [&](const TrainEvent& e) { stream.Append(e); };
   const nn::EpochFn epoch_fn = [](int epoch) { return 1.0 / (1.0 + epoch); };
   nn::TrainReport report;
   ASSERT_TRUE(nn::RunGuardedTraining(&run.store, run.adam.get(), nullptr, 6,
-                                     epoch_fn, {}, hooks, &report)
+                                     epoch_fn, {}, {}, &report)
                   .ok());
-  EXPECT_EQ(stream.CountKind(TrainEventKind::kEpoch), 6);
-  EXPECT_EQ(stream.CountKind(TrainEventKind::kRecovery), 0);
-  // The report carries the identical stream.
-  ASSERT_EQ(report.events.size(), stream.events().size());
-  for (size_t i = 0; i < report.events.size(); ++i) {
-    EXPECT_EQ(obs::TrainEventToJsonLine(report.events[i]),
-              obs::TrainEventToJsonLine(stream.events()[i]));
-  }
+  ASSERT_EQ(report.events.size(), 6u);
+  EXPECT_EQ(CountKind(report.events, TrainEventKind::kEpoch), 6);
+  EXPECT_EQ(CountKind(report.events, TrainEventKind::kRecovery), 0);
   // Epoch numbers are consecutive, losses match the script.
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(stream.events()[i].epoch, i);
-    EXPECT_DOUBLE_EQ(stream.events()[i].loss, 1.0 / (1.0 + i));
-    EXPECT_GT(stream.events()[i].learning_rate, 0.0);
+    EXPECT_EQ(report.events[i].epoch, i);
+    EXPECT_DOUBLE_EQ(report.events[i].loss, 1.0 / (1.0 + i));
+    EXPECT_GT(report.events[i].learning_rate, 0.0);
   }
 }
 
 TEST(TelemetryTest, InjectedNaNEmitsRecoveryEventToJsonl) {
   SyntheticRun run(/*lr=*/1e-2);
-  const std::string path = TempPath("telemetry_nan.jsonl");
-  obs::TelemetryStream stream;
-  ASSERT_TRUE(stream.OpenFile(path).ok());
-
   bool poisoned = false;
   nn::TrainHooks hooks;
-  hooks.on_event = [&](const TrainEvent& e) { stream.Append(e); };
   hooks.post_backward = [&](int epoch, nn::ParameterStore& store) {
     if (epoch == 2 && !poisoned) {
       poisoned = true;
@@ -126,12 +87,14 @@ TEST(TelemetryTest, InjectedNaNEmitsRecoveryEventToJsonl) {
                   .ok());
   EXPECT_TRUE(poisoned);
   EXPECT_EQ(report.recoveries, 1);
-  EXPECT_EQ(stream.CountKind(TrainEventKind::kEpoch), 5);
-  ASSERT_EQ(stream.CountKind(TrainEventKind::kRecovery), 1);
+  // One event per epoch plus one for the recovery.
+  EXPECT_EQ(report.events.size(), 6u);
+  EXPECT_EQ(CountKind(report.events, TrainEventKind::kEpoch), 5);
+  ASSERT_EQ(CountKind(report.events, TrainEventKind::kRecovery), 1);
 
   // The recovery record names the trip and the post-backoff rate.
   const TrainEvent* recovery = nullptr;
-  for (const TrainEvent& e : stream.events()) {
+  for (const TrainEvent& e : report.events) {
     if (e.kind == TrainEventKind::kRecovery) recovery = &e;
   }
   ASSERT_NE(recovery, nullptr);
@@ -140,22 +103,6 @@ TEST(TelemetryTest, InjectedNaNEmitsRecoveryEventToJsonl) {
   EXPECT_DOUBLE_EQ(recovery->learning_rate, 0.5e-2);
   EXPECT_NE(recovery->note.find("non-finite gradient"), std::string::npos)
       << recovery->note;
-
-  // JSONL file: one line per event (5 epochs + 1 recovery), each a JSON
-  // object with the event field first.
-  const std::vector<std::string> lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 6u);
-  int recovery_lines = 0;
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_EQ(line.rfind("{\"event\":\"", 0), 0u) << line;
-    if (line.find("\"event\":\"recovery\"") != std::string::npos) {
-      ++recovery_lines;
-    }
-  }
-  EXPECT_EQ(recovery_lines, 1);
-  std::remove(path.c_str());
 }
 
 TEST(TelemetryTest, ResumeEmitsResumeEvent) {
@@ -174,27 +121,25 @@ TEST(TelemetryTest, ResumeEmitsResumeEvent) {
   }
 
   SyntheticRun resumed;
-  obs::TelemetryStream stream;
-  nn::TrainHooks hooks;
-  hooks.on_event = [&](const TrainEvent& e) { stream.Append(e); };
   nn::TrainReport report;
   ASSERT_TRUE(nn::RunGuardedTraining(&resumed.store, resumed.adam.get(),
-                                     nullptr, 8, epoch_fn, options, hooks,
+                                     nullptr, 8, epoch_fn, options, {},
                                      &report)
                   .ok());
   EXPECT_TRUE(report.resumed);
-  ASSERT_EQ(stream.CountKind(TrainEventKind::kResume), 1);
-  const TrainEvent& resume = stream.events().front();
+  ASSERT_EQ(CountKind(report.events, TrainEventKind::kResume), 1);
+  const TrainEvent& resume = report.events.front();
   EXPECT_EQ(resume.kind, TrainEventKind::kResume);
   EXPECT_NE(resume.note.find(ckpt), std::string::npos) << resume.note;
   // Only the remaining epochs re-run.
-  EXPECT_EQ(stream.CountKind(TrainEventKind::kEpoch), report.epochs_run);
+  EXPECT_EQ(CountKind(report.events, TrainEventKind::kEpoch),
+            report.epochs_run);
   EXPECT_LT(report.epochs_run, 8);
   std::remove(ckpt.c_str());
 }
 
-// End-to-end: RunOnce threads the telemetry stream from the real model's
-// guarded training out to the caller.
+// End-to-end: RunOnce hands the real model's guarded-training telemetry
+// out to the caller through the report.
 TEST(TelemetryTest, RunOnceStreamsModelTelemetry) {
   sim::SimConfig cfg;
   cfg.city_width_m = 3500.0;
@@ -220,15 +165,13 @@ TEST(TelemetryTest, RunOnceStreamsModelTelemetry) {
 
   eval::EvalOptions opts;
   opts.min_candidates = 5;
-  obs::TelemetryStream stream;
   nn::TrainReport report;
-  ASSERT_TRUE(
-      eval::RunOnce(model, data, split, opts, &report, &stream).ok());
+  ASSERT_TRUE(eval::RunOnce(model, data, split, opts, &report).ok());
   // The recommender trains the capacity model and the recommendation model;
   // at least the configured epochs show up, each with a finite loss.
-  EXPECT_GE(stream.CountKind(TrainEventKind::kEpoch), model_cfg.epochs);
-  EXPECT_EQ(report.events.size(), stream.events().size());
-  for (const TrainEvent& e : stream.events()) {
+  EXPECT_GE(CountKind(report.events, TrainEventKind::kEpoch),
+            model_cfg.epochs);
+  for (const TrainEvent& e : report.events) {
     if (e.kind != TrainEventKind::kEpoch) continue;
     EXPECT_TRUE(std::isfinite(e.loss));
     EXPECT_GE(e.grad_norm, 0.0);
