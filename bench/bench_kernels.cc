@@ -4,16 +4,24 @@
 // so tools/bench_diff can gate it. Two kinds of values ride in the report:
 //
 //  * timings (`*_ms`, skipped under --ignore-timings): the dispatch-table
-//    matmul family scalar vs SIMD, and a representative attention-shaped
+//    matmul family scalar vs SIMD, on the square kRows x 32 x 32 shape and
+//    on the two narrow training shapes (the per-head attention projection
+//    and a one-column output layer), and a representative attention-shaped
 //    training step planned vs eager;
 //  * exact counts (zero-tolerance in bench_diff): scalar/SIMD and
 //    planned/eager mismatch counts (must be 0 — the bit-exactness
-//    contract), tape node count, fused-region and chunk counts from the
-//    profiler (pure functions of the workload shapes, identical on every
-//    machine and thread count — a drift means the compiler fused
-//    differently, which is exactly what the gate should catch).
+//    contract; bitwise, with any NaN equal to any NaN), tape node count,
+//    fused-region and chunk counts from the profiler (pure functions of
+//    the workload shapes, identical on every machine and thread count — a
+//    drift means the compiler fused differently, which is exactly what the
+//    gate should catch).
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -33,10 +41,14 @@ namespace {
 constexpr int kRows = 2850;
 constexpr int kDim = 32;
 
+// Elements whose 32-bit patterns differ (so -0 != +0); any NaN equals any
+// NaN, since NaN payloads are not part of the kernel contract.
 size_t CountMismatch(const nn::Tensor& a, const nn::Tensor& b) {
   size_t bad = 0;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a.data()[i] != b.data()[i]) ++bad;
+    const float x = a.data()[i], y = b.data()[i];
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::bit_cast<uint32_t>(x) != std::bit_cast<uint32_t>(y)) ++bad;
   }
   return bad;
 }
@@ -82,12 +94,35 @@ struct StepSetup {
   }
 };
 
-struct TimedPair {
-  const char* label_scalar;
-  const char* label_simd;
-  double ms_scalar = 0.0;
-  double ms_simd = 0.0;
-};
+using KernelCall =
+    std::function<void(const nn::kernels::KernelTable&, nn::Tensor&)>;
+
+// Times `reps` calls of one matmul kernel on the scalar table and on the
+// active one, each call from a zeroed `out`, reports the two totals as
+// `<name>_scalar_ms` and `<name>_simd_ms`, and returns how many output
+// elements of the two final results differ.
+size_t TimeKernel(bench::BenchReport& report, const std::string& name,
+                  int reps, int out_rows, int out_cols,
+                  const KernelCall& call) {
+  nn::Tensor out_scalar(out_rows, out_cols), out_simd(out_rows, out_cols);
+  const auto time_table = [&](const nn::kernels::KernelTable& table,
+                              nn::Tensor& out) {
+    const int64_t t0 = common::NowMicros();
+    for (int r = 0; r < reps; ++r) {
+      out.Fill(0.0f);
+      call(table, out);
+    }
+    return (common::NowMicros() - t0) / 1e3;
+  };
+  const double ms_scalar =
+      time_table(nn::kernels::ScalarTable(), out_scalar);
+  const double ms_simd = time_table(nn::kernels::Active(), out_simd);
+  report.AddValue(name + "_scalar_ms", ms_scalar);
+  report.AddValue(name + "_simd_ms", ms_simd);
+  std::printf("%-22s scalar %8.1f ms   simd %8.1f ms\n", name.c_str(),
+              ms_scalar, ms_simd);
+  return CountMismatch(out_scalar, out_simd);
+}
 
 }  // namespace
 
@@ -100,87 +135,74 @@ int Main() {
   const int step_reps = small ? 10 : 40;
 
   // --- dispatch-table matmul family, scalar vs active SIMD level ---------
-  const nn::kernels::KernelTable& scalar = nn::kernels::ScalarTable();
-  const nn::kernels::KernelTable& active = nn::kernels::Active();
   std::printf("kernel tables: active SIMD level = %s\n",
               nn::kernels::SimdName(nn::kernels::ActiveSimd()));
-
+  using Table = nn::kernels::KernelTable;
   Rng rng(7);
-  const nn::Tensor a = nn::Tensor::RandomNormal(kRows, kDim, 1.0, rng);
-  const nn::Tensor b = nn::Tensor::RandomNormal(kDim, kDim, 1.0, rng);
-  const nn::Tensor a_tall = nn::Tensor::RandomNormal(kRows, kDim, 1.0, rng);
-  const nn::Tensor b_wide = nn::Tensor::RandomNormal(kRows, kDim, 1.0, rng);
-  nn::Tensor c_scalar(kRows, kDim), c_simd(kRows, kDim);
-  nn::Tensor d_scalar(kDim, kDim), d_simd(kDim, kDim);
   size_t mismatches = 0;
 
-  // matmul_rows: [kRows x kDim] * [kDim x kDim].
-  TimedPair mm{"matmul_scalar_ms", "matmul_simd_ms"};
+  // The square shape: [kRows x kDim] * [kDim x kDim], its weight gradient
+  // (long reduction, tiny output) and its input gradient (b is square, so
+  // the transpose view is valid).
   {
-    int64_t t0 = common::NowMicros();
-    for (int r = 0; r < kernel_reps; ++r) {
-      c_scalar.Fill(0.0f);
-      scalar.matmul_rows(a.data(), b.data(), c_scalar.data(), 0, kRows, kDim,
-                         kDim, false);
-    }
-    mm.ms_scalar = (common::NowMicros() - t0) / 1e3;
-    t0 = common::NowMicros();
-    for (int r = 0; r < kernel_reps; ++r) {
-      c_simd.Fill(0.0f);
-      active.matmul_rows(a.data(), b.data(), c_simd.data(), 0, kRows, kDim,
-                         kDim, false);
-    }
-    mm.ms_simd = (common::NowMicros() - t0) / 1e3;
-    mismatches += CountMismatch(c_scalar, c_simd);
+    const nn::Tensor a = nn::Tensor::RandomNormal(kRows, kDim, 1.0, rng);
+    const nn::Tensor b = nn::Tensor::RandomNormal(kDim, kDim, 1.0, rng);
+    const nn::Tensor a_tall = nn::Tensor::RandomNormal(kRows, kDim, 1.0, rng);
+    const nn::Tensor b_wide = nn::Tensor::RandomNormal(kRows, kDim, 1.0, rng);
+    mismatches += TimeKernel(
+        report, "matmul", kernel_reps, kRows, kDim,
+        [&](const Table& t, nn::Tensor& c) {
+          t.matmul_rows(a.data(), b.data(), c.data(), 0, kRows, kDim, kDim,
+                        false);
+        });
+    mismatches += TimeKernel(
+        report, "matmul_ta", kernel_reps, kDim, kDim,
+        [&](const Table& t, nn::Tensor& c) {
+          t.matmul_ta_rows(a_tall.data(), b_wide.data(), c.data(), 0, kDim,
+                           kDim, kRows, kDim, false);
+        });
+    mismatches += TimeKernel(
+        report, "matmul_tb", kernel_reps, kRows, kDim,
+        [&](const Table& t, nn::Tensor& c) {
+          t.matmul_tb_rows(a.data(), b.data(), c.data(), 0, kRows, kDim,
+                           kDim, false);
+        });
   }
 
-  // matmul_ta_rows: [kRows x kDim]^T * [kRows x kDim] (the weight-gradient
-  // shape: long reduction, tiny output).
-  TimedPair ta{"matmul_ta_scalar_ms", "matmul_ta_simd_ms"};
-  {
-    int64_t t0 = common::NowMicros();
-    for (int r = 0; r < kernel_reps; ++r) {
-      d_scalar.Fill(0.0f);
-      scalar.matmul_ta_rows(a_tall.data(), b_wide.data(), d_scalar.data(), 0,
-                            kDim, kDim, kRows, kDim, false);
-    }
-    ta.ms_scalar = (common::NowMicros() - t0) / 1e3;
-    t0 = common::NowMicros();
-    for (int r = 0; r < kernel_reps; ++r) {
-      d_simd.Fill(0.0f);
-      active.matmul_ta_rows(a_tall.data(), b_wide.data(), d_simd.data(), 0,
-                            kDim, kDim, kRows, kDim, false);
-    }
-    ta.ms_simd = (common::NowMicros() - t0) / 1e3;
-    mismatches += CountMismatch(d_scalar, d_simd);
-  }
-
-  // matmul_tb_rows: [kRows x kDim] * [kDim x kDim]^T (the input-gradient
-  // shape; b is square here so the transpose view is valid).
-  TimedPair tb{"matmul_tb_scalar_ms", "matmul_tb_simd_ms"};
-  {
-    int64_t t0 = common::NowMicros();
-    for (int r = 0; r < kernel_reps; ++r) {
-      c_scalar.Fill(0.0f);
-      scalar.matmul_tb_rows(a.data(), b.data(), c_scalar.data(), 0, kRows,
-                            kDim, kDim, false);
-    }
-    tb.ms_scalar = (common::NowMicros() - t0) / 1e3;
-    t0 = common::NowMicros();
-    for (int r = 0; r < kernel_reps; ++r) {
-      c_simd.Fill(0.0f);
-      active.matmul_tb_rows(a.data(), b.data(), c_simd.data(), 0, kRows, kDim,
-                            kDim, false);
-    }
-    tb.ms_simd = (common::NowMicros() - t0) / 1e3;
-    mismatches += CountMismatch(c_scalar, c_simd);
-  }
-
-  for (const TimedPair& p : {mm, ta, tb}) {
-    report.AddValue(p.label_scalar, p.ms_scalar);
-    report.AddValue(p.label_simd, p.ms_simd);
-    std::printf("%-22s %8.1f ms   %-20s %8.1f ms\n", p.label_scalar,
-                p.ms_scalar, p.label_simd, p.ms_simd);
+  // The narrow training shapes, forward and both gradients: a per-head
+  // attention projection [1589 x 32] * [32 x 8] and a one-column output
+  // layer [11055 x 64] * [64 x 1]. Repetitions scale so each shape does
+  // about the square shape's work.
+  struct Shape {
+    int m, k, n;
+  };
+  for (const Shape s : {Shape{1589, 32, 8}, Shape{11055, 64, 1}}) {
+    const int reps = static_cast<int>(static_cast<int64_t>(kernel_reps) *
+                                      kRows * kDim * kDim /
+                                      (int64_t{s.m} * s.k * s.n));
+    char tag[40];
+    std::snprintf(tag, sizeof tag, "_%dx%dx%d", s.m, s.k, s.n);
+    const nn::Tensor x = nn::Tensor::RandomNormal(s.m, s.k, 1.0, rng);
+    const nn::Tensor w = nn::Tensor::RandomNormal(s.k, s.n, 1.0, rng);
+    const nn::Tensor g = nn::Tensor::RandomNormal(s.m, s.n, 1.0, rng);
+    mismatches += TimeKernel(
+        report, std::string("matmul") + tag, reps, s.m, s.n,
+        [&](const Table& t, nn::Tensor& c) {
+          t.matmul_rows(x.data(), w.data(), c.data(), 0, s.m, s.k, s.n,
+                        false);
+        });
+    mismatches += TimeKernel(
+        report, std::string("matmul_ta") + tag, reps, s.k, s.n,
+        [&](const Table& t, nn::Tensor& c) {
+          t.matmul_ta_rows(x.data(), g.data(), c.data(), 0, s.k, s.k, s.m,
+                           s.n, false);
+        });
+    mismatches += TimeKernel(
+        report, std::string("matmul_tb") + tag, reps, s.m, s.k,
+        [&](const Table& t, nn::Tensor& c) {
+          t.matmul_tb_rows(g.data(), w.data(), c.data(), 0, s.m, s.n, s.k,
+                           false);
+        });
   }
   report.AddValue("kernel_mismatch_count", static_cast<double>(mismatches));
 

@@ -11,6 +11,13 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
+echo "=== Scalar kernel table: goldens + planned/eager under O2SR_SIMD=scalar ==="
+# ctest exercises only the auto-selected kernel table (AVX2 where the CPU
+# has it). The scalar reference table must reproduce the same pinned
+# predictions and planned/eager equality (DESIGN.md §13).
+O2SR_SIMD=scalar ./build/tests/golden_test
+O2SR_SIMD=scalar ./build/tests/plan_exec_test
+
 echo "=== Knob smoke: a misspelled or out-of-list O2SR_* variable is fatal ==="
 # Each run must exit non-zero before doing any work and name the variable
 # on stderr (the knob table in src/common/env.cc refuses unknown names and
@@ -534,17 +541,19 @@ print(f"paper-scale gate: {vals['stores']:.0f} stores, "
 EOF
 rm -rf "${SCALE_DIR}"
 
-echo "=== ASan build + pipeline/fault/serving/shard-parser tests ==="
+echo "=== ASan build + pipeline/fault/serving/shard-parser/kernel tests ==="
 # The crash-resume and fault-injection paths shuffle buffers, snapshots and
 # journals across retries; ASan keeps that churn honest. spill_test and
 # stream_test drive the on-disk shard and manifest parsers with corrupted,
-# truncated and foreign bytes.
+# truncated and foreign bytes. plan_exec_test drives the hand-tiled AVX2
+# matmul kernels over chunked row ranges, where a masked tail or block
+# load/store running past its rows would hide.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DO2SR_SANITIZE=address >/dev/null
 cmake --build build-asan -j "${JOBS}" \
       --target pipeline_test retry_test drift_test fault_injection_test \
                serving_resilience_test serve_test checkpoint_test \
-               spill_test stream_test
+               spill_test stream_test plan_exec_test
 (cd build-asan &&
  ./tests/pipeline_test &&
  ./tests/retry_test &&
@@ -554,7 +563,8 @@ cmake --build build-asan -j "${JOBS}" \
  ./tests/serve_test &&
  ./tests/checkpoint_test &&
  ./tests/spill_test &&
- ./tests/stream_test)
+ ./tests/stream_test &&
+ ./tests/plan_exec_test)
 
 echo "=== TSAN build + exec/stream/trainer/serving tests ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -41,9 +41,11 @@ const char* SimdName(Simd level);
 // writes are disjoint.
 struct KernelTable {
   // --- dense matmul family (ranges are output rows) ---
-  // C[i,:] (+)= A[i,:] * B.  A: [m x k], B: [k x n]. Skips zero A entries
-  // (identical to the reference loop, and ReLU-sparse activations make the
-  // skip common). accumulate=false zeroes each output row first.
+  // C[i,:] (+)= A[i,:] * B.  A: [m x k], B: [k x n]. The reference loop
+  // skips zero A entries; that skip shows only when B holds ±Inf or NaN
+  // (0 * Inf = NaN), so a SIMD body may add every term while B is finite
+  // and must run the reference otherwise (DESIGN.md §13; matmul_ta_rows
+  // likewise). accumulate=false zeroes each output row first.
   void (*matmul_rows)(const float* a, const float* b, float* c,
                       int64_t row_begin, int64_t row_end, int k, int n,
                       bool accumulate);

@@ -8,31 +8,46 @@
 // tiling is ~2-3x faster.
 //
 // Bit-exactness is preserved by construction:
-//  * MatMulRows/MatMulTaRows: every output element dst[j] owns one add
-//    chain `dst[j] += av * brow[j]` over p in ascending order with the
-//    av == 0 skip of the scalar body. The intrinsics only change how many
-//    disjoint j chains sit in registers at once, never the per-element
-//    sequence. accumulate mode adds the completed row sum in one rounded
-//    add per element, exactly like the scalar scratch-row path.
-//  * The av == 0 skip is data-dependent: on dense operands a never-taken
-//    branch is free, on ReLU-sparse operands it mispredicts ~every other
-//    iteration and costs more than the work it skips. Each call samples its
-//    A operand once and picks either the branchy body or a branch-free body
-//    that computes every term and *discards* it with a blend where av == 0.
-//    Both bodies produce identical bits (the blend keeps the old sum, which
-//    is exactly what skipping does), so the choice is pure scheduling.
+//  * MatMulRows/MatMulTaRows: every output element owns one add chain that
+//    starts at +0 and adds `a * b` over p in ascending order. The tilings
+//    only change how many disjoint chains sit in registers at once, never
+//    the per-element sequence. accumulate mode adds the completed sum in
+//    one rounded add per element, exactly like the scalar scratch-row path.
+//  * Finite-B rule: the reference loops skip a == 0 terms and these bodies
+//    add every term. The two agree whenever B is finite: then a skipped
+//    term is 0 * b = ±0, and adding ±0 never changes a sum that started at
+//    +0 (under round-to-nearest such a sum is never −0, and x + ±0 == x for
+//    every other x, ±Inf and NaN included). Only 0 * ±Inf or 0 * NaN = NaN
+//    can tell them apart, so each call scans B once and hands a non-finite
+//    B to ScalarTable(), the reference. No zero test, branch or blend is
+//    left in the dense bodies.
 //  * MatMulTbRows: each output element keeps its four accumulator chains
 //    (chain q sums the terms with p % 4 == q) and the (c0+c1)+(c2+c3)
 //    fold. B is transposed once per call into a scratch tile so the chains
-//    advance as outer products over contiguous rows; chain membership and
-//    fold order never change, and the k % 4 tail is appended to chain 0, as
-//    in the scalar body.
+//    advance as outer products over contiguous rows; the k % 4 tail is
+//    appended to chain 0, as in the scalar body. It has no skip, so it
+//    needs no finite-B scan.
 //  * No FMA anywhere (-mfma is off and only _mm256_mul_ps/_mm256_add_ps
 //    are used): `a*b` rounds before the add, matching scalar.
+//
+// Tilings. A chain advances once per add latency (~4 cycles), so a tile
+// must keep ~8 independent chains in flight to run at add throughput:
+//  * 32-wide column tiles (both kernels): three output rows per sweep, 12
+//    ymm sums, each loaded B tile feeding three rows.
+//  * MatMulRows, the remaining columns: 8-row blocks, one ymm sum per row
+//    per 8-column tile and one scalar chain per row for the n % 8 columns.
+//  * MatMulTaRows, the remaining columns: A is [k x m], so eight output
+//    rows read the contiguous a[p*m + i .. i+7]; a ymm sum holds one
+//    column of eight rows, and narrow column groups keep several row
+//    blocks in flight. A chunk's last, partial block loads under a lane
+//    mask and stores only its own rows.
+//  * MatMulTbRows: 16- and 8-column four-chain blocks, then one masked
+//    block for the n % 8 columns.
 #ifdef O2SR_HAVE_AVX2_TU
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "nn/kernels/kernels.h"
@@ -46,267 +61,249 @@ namespace avx2_hand {
 
 namespace {
 
-// acc += v * b, except where zmask (v == 0) keeps the old acc — the
-// branch-free form of the reference skip.
-inline void MaddBlend(__m256& acc, __m256 v, __m256 zmask, __m256 b) {
-  acc = _mm256_blendv_ps(_mm256_add_ps(acc, _mm256_mul_ps(v, b)), acc, zmask);
-}
-
 inline void Madd(__m256& acc, __m256 v, __m256 b) {
   acc = _mm256_add_ps(acc, _mm256_mul_ps(v, b));
 }
 
-// True when a sample of the A operand is zero-rich enough that the branchy
-// skip would mispredict; such calls take the blend body instead. The two
-// bodies are bit-identical, so this threshold only affects speed.
-inline bool ProbeSparse(const float* x, int64_t count, int64_t stride) {
-  const int64_t samples = count < 64 ? count : 64;
-  if (samples <= 0) return false;
-  const int64_t step = (count / samples) * stride;
-  int zeros = 0;
-  const float* p = x;
-  for (int64_t s = 0; s < samples; ++s, p += step == 0 ? stride : step) {
-    zeros += (*p == 0.0f) ? 1 : 0;
-  }
-  return zeros * 4 >= samples;  // >= 25% zeros
+// Writes one completed sum: dst = s, or dst + s in accumulate mode.
+inline void Store8(float* dst, __m256 s, bool accumulate) {
+  if (accumulate) s = _mm256_add_ps(_mm256_loadu_ps(dst), s);
+  _mm256_storeu_ps(dst, s);
 }
 
-// Shared body for MatMulRows / MatMulTaRows: accumulate row i of the
-// output as sum_p av(p) * B[p, :], where the caller supplies how av is
-// fetched (contiguous row of A, or strided column for the transposed-A
-// case). B rows are contiguous, so j tiles vectorize; the j tile sums live
-// in ymm registers across the whole p loop.
-template <bool kBlend, typename FetchA>
-inline void OuterProductRow(FetchA av_at, const float* b, float* crow, int k,
-                            int n, bool accumulate) {
-  const __m256 zero = _mm256_setzero_ps();
-  int j = 0;
-  for (; j + 32 <= n; j += 32) {
-    __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-    __m256 s2 = _mm256_setzero_ps(), s3 = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      const float av = av_at(p);
-      if constexpr (!kBlend) {
-        if (av == 0.0f) continue;
-      }
-      const __m256 va = _mm256_set1_ps(av);
-      const float* br = b + static_cast<int64_t>(p) * n + j;
-      if constexpr (kBlend) {
-        const __m256 zm = _mm256_cmp_ps(va, zero, _CMP_EQ_OQ);
-        MaddBlend(s0, va, zm, _mm256_loadu_ps(br));
-        MaddBlend(s1, va, zm, _mm256_loadu_ps(br + 8));
-        MaddBlend(s2, va, zm, _mm256_loadu_ps(br + 16));
-        MaddBlend(s3, va, zm, _mm256_loadu_ps(br + 24));
-      } else {
-        Madd(s0, va, _mm256_loadu_ps(br));
-        Madd(s1, va, _mm256_loadu_ps(br + 8));
-        Madd(s2, va, _mm256_loadu_ps(br + 16));
-        Madd(s3, va, _mm256_loadu_ps(br + 24));
-      }
-    }
-    float* cj = crow + j;
-    if (accumulate) {
-      s0 = _mm256_add_ps(_mm256_loadu_ps(cj), s0);
-      s1 = _mm256_add_ps(_mm256_loadu_ps(cj + 8), s1);
-      s2 = _mm256_add_ps(_mm256_loadu_ps(cj + 16), s2);
-      s3 = _mm256_add_ps(_mm256_loadu_ps(cj + 24), s3);
-    }
-    _mm256_storeu_ps(cj, s0);
-    _mm256_storeu_ps(cj + 8, s1);
-    _mm256_storeu_ps(cj + 16, s2);
-    _mm256_storeu_ps(cj + 24, s3);
+inline void Store1(float* dst, float s, bool accumulate) {
+  *dst = accumulate ? *dst + s : s;
+}
+
+// Lanes [0, lanes) set.
+inline __m256i LaneMask(int lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// True when x[0, count) holds no ±Inf or NaN: x - x is +0 for finite x and
+// NaN otherwise, and OR-ing bit patterns keeps a NaN a NaN.
+bool AllFinite(const float* x, int64_t count) {
+  __m256 acc = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    acc = _mm256_or_ps(acc, _mm256_sub_ps(v, v));
   }
-  for (; j + 8 <= n; j += 8) {
-    __m256 s = _mm256_setzero_ps();
-    for (int p = 0; p < k; ++p) {
-      const float av = av_at(p);
-      if constexpr (!kBlend) {
-        if (av == 0.0f) continue;
-      }
-      const __m256 va = _mm256_set1_ps(av);
-      const __m256 bv = _mm256_loadu_ps(b + static_cast<int64_t>(p) * n + j);
-      if constexpr (kBlend) {
-        MaddBlend(s, va, _mm256_cmp_ps(va, zero, _CMP_EQ_OQ), bv);
-      } else {
-        Madd(s, va, bv);
-      }
-    }
-    float* cj = crow + j;
-    if (accumulate) s = _mm256_add_ps(_mm256_loadu_ps(cj), s);
-    _mm256_storeu_ps(cj, s);
+  if (i < count) {
+    const __m256 v =
+        _mm256_maskload_ps(x + i, LaneMask(static_cast<int>(count - i)));
+    acc = _mm256_or_ps(acc, _mm256_sub_ps(v, v));
   }
-  for (; j < n; ++j) {
-    float s = 0.0f;
-    for (int p = 0; p < k; ++p) {
-      const float av = av_at(p);
-      if (av == 0.0f) continue;
-      s += av * b[static_cast<int64_t>(p) * n + j];
+  return _mm256_movemask_ps(_mm256_cmp_ps(acc, acc, _CMP_UNORD_Q)) == 0;
+}
+
+// R output rows x T 8-column tiles, one ymm chain per (row, tile). Row r's
+// A value for term p is a[r * rs + p * ps]: rs = k, ps = 1 for a row-major
+// A, rs = 1, ps = m for the transposed A of MatMulTaRows. B rows are
+// contiguous with stride n. `a`, `b` and `c` point at the tile's origin.
+template <int R, int T>
+inline void RowTile(const float* a, int64_t rs, int64_t ps, const float* b,
+                    float* c, int k, int n, bool accumulate) {
+  __m256 s[R][T] = {};
+  for (int p = 0; p < k; ++p) {
+    const float* ap = a + p * ps;
+    const float* br = b + static_cast<int64_t>(p) * n;
+    __m256 bv[T];
+#pragma GCC unroll 4
+    for (int t = 0; t < T; ++t) bv[t] = _mm256_loadu_ps(br + 8 * t);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * rs);
+#pragma GCC unroll 4
+      for (int t = 0; t < T; ++t) Madd(s[r][t], av, bv[t]);
     }
-    if (accumulate) {
-      crow[j] += s;
-    } else {
-      crow[j] = s;
-    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int t = 0; t < T; ++t) Store8(c + r * n + 8 * t, s[r][t], accumulate);
   }
 }
 
-template <bool kBlend>
-void MatMulRowsBody(const float* a, const float* b, float* c,
-                    int64_t row_begin, int64_t row_end, int k, int n,
-                    bool accumulate) {
-  for (int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    OuterProductRow<kBlend>([arow](int p) { return arow[p]; }, b, c + i * n,
-                            k, n, accumulate);
+// R rows of one output column of MatMulRows, one scalar chain per row.
+template <int R>
+inline void RowColumn(const float* a, const float* b, float* c, int k, int n,
+                      bool accumulate) {
+  float s[R] = {};
+  for (int p = 0; p < k; ++p) {
+    const float bv = b[static_cast<int64_t>(p) * n];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) s[r] += a[r * k + p] * bv;
   }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) Store1(c + r * n, s[r], accumulate);
 }
 
-// MatMulTaRows body: a is [k x m], output row i reads column i of a, and k
-// is the long dimension (the edge/sample count), so per output row the
-// naive loop streams all of B plus one strided A column. Blocking three
-// output rows per sweep amortizes both streams 3x — the three av values
-// a[p*m + i..i+2] share a cache line and each loaded B tile feeds three row
-// accumulators, the largest block whose row sums stay ymm-resident for
-// n = 32 tiles (12 sums + 4 B lanes).
-template <bool kBlend>
-void MatMulTaBody(const float* a, const float* b, float* c, int64_t row_begin,
-                  int64_t row_end, int m, int k, int n, bool accumulate) {
-  const __m256 zero = _mm256_setzero_ps();
+// The 32-wide column tiles of output rows [row_begin, row_end), three rows
+// per sweep: the largest block whose 12 sums stay ymm-resident.
+void WideTiles(const float* a, int64_t rs, int64_t ps, const float* b,
+               float* c, int64_t row_begin, int64_t row_end, int k, int n,
+               bool accumulate) {
+  const int n32 = n - n % 32;
+  if (n32 == 0) return;
   int64_t i = row_begin;
   for (; i + 3 <= row_end; i += 3) {
-    int j = 0;
-    for (; j + 32 <= n; j += 32) {
-      __m256 r0a = _mm256_setzero_ps(), r0b = r0a, r0c = r0a, r0d = r0a;
-      __m256 r1a = r0a, r1b = r0a, r1c = r0a, r1d = r0a;
-      __m256 r2a = r0a, r2b = r0a, r2c = r0a, r2d = r0a;
-      for (int p = 0; p < k; ++p) {
-        const float* ap = a + static_cast<int64_t>(p) * m + i;
-        const float a0 = ap[0], a1 = ap[1], a2 = ap[2];
-        if constexpr (!kBlend) {
-          if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f) continue;
-        }
-        const float* br = b + static_cast<int64_t>(p) * n + j;
-        const __m256 b0 = _mm256_loadu_ps(br);
-        const __m256 b1 = _mm256_loadu_ps(br + 8);
-        const __m256 b2 = _mm256_loadu_ps(br + 16);
-        const __m256 b3 = _mm256_loadu_ps(br + 24);
-        if constexpr (kBlend) {
-          const __m256 v0 = _mm256_set1_ps(a0);
-          const __m256 v1 = _mm256_set1_ps(a1);
-          const __m256 v2 = _mm256_set1_ps(a2);
-          const __m256 m0 = _mm256_cmp_ps(v0, zero, _CMP_EQ_OQ);
-          const __m256 m1 = _mm256_cmp_ps(v1, zero, _CMP_EQ_OQ);
-          const __m256 m2 = _mm256_cmp_ps(v2, zero, _CMP_EQ_OQ);
-          MaddBlend(r0a, v0, m0, b0);
-          MaddBlend(r0b, v0, m0, b1);
-          MaddBlend(r0c, v0, m0, b2);
-          MaddBlend(r0d, v0, m0, b3);
-          MaddBlend(r1a, v1, m1, b0);
-          MaddBlend(r1b, v1, m1, b1);
-          MaddBlend(r1c, v1, m1, b2);
-          MaddBlend(r1d, v1, m1, b3);
-          MaddBlend(r2a, v2, m2, b0);
-          MaddBlend(r2b, v2, m2, b1);
-          MaddBlend(r2c, v2, m2, b2);
-          MaddBlend(r2d, v2, m2, b3);
-        } else {
-          if (a0 != 0.0f) {
-            const __m256 v0 = _mm256_set1_ps(a0);
-            Madd(r0a, v0, b0);
-            Madd(r0b, v0, b1);
-            Madd(r0c, v0, b2);
-            Madd(r0d, v0, b3);
-          }
-          if (a1 != 0.0f) {
-            const __m256 v1 = _mm256_set1_ps(a1);
-            Madd(r1a, v1, b0);
-            Madd(r1b, v1, b1);
-            Madd(r1c, v1, b2);
-            Madd(r1d, v1, b3);
-          }
-          if (a2 != 0.0f) {
-            const __m256 v2 = _mm256_set1_ps(a2);
-            Madd(r2a, v2, b0);
-            Madd(r2b, v2, b1);
-            Madd(r2c, v2, b2);
-            Madd(r2d, v2, b3);
-          }
-        }
-      }
-      float* c0 = c + i * n + j;
-      float* c1 = c0 + n, *c2 = c0 + 2 * n;
-      if (accumulate) {
-        r0a = _mm256_add_ps(_mm256_loadu_ps(c0), r0a);
-        r0b = _mm256_add_ps(_mm256_loadu_ps(c0 + 8), r0b);
-        r0c = _mm256_add_ps(_mm256_loadu_ps(c0 + 16), r0c);
-        r0d = _mm256_add_ps(_mm256_loadu_ps(c0 + 24), r0d);
-        r1a = _mm256_add_ps(_mm256_loadu_ps(c1), r1a);
-        r1b = _mm256_add_ps(_mm256_loadu_ps(c1 + 8), r1b);
-        r1c = _mm256_add_ps(_mm256_loadu_ps(c1 + 16), r1c);
-        r1d = _mm256_add_ps(_mm256_loadu_ps(c1 + 24), r1d);
-        r2a = _mm256_add_ps(_mm256_loadu_ps(c2), r2a);
-        r2b = _mm256_add_ps(_mm256_loadu_ps(c2 + 8), r2b);
-        r2c = _mm256_add_ps(_mm256_loadu_ps(c2 + 16), r2c);
-        r2d = _mm256_add_ps(_mm256_loadu_ps(c2 + 24), r2d);
-      }
-      _mm256_storeu_ps(c0, r0a);
-      _mm256_storeu_ps(c0 + 8, r0b);
-      _mm256_storeu_ps(c0 + 16, r0c);
-      _mm256_storeu_ps(c0 + 24, r0d);
-      _mm256_storeu_ps(c1, r1a);
-      _mm256_storeu_ps(c1 + 8, r1b);
-      _mm256_storeu_ps(c1 + 16, r1c);
-      _mm256_storeu_ps(c1 + 24, r1d);
-      _mm256_storeu_ps(c2, r2a);
-      _mm256_storeu_ps(c2 + 8, r2b);
-      _mm256_storeu_ps(c2 + 16, r2c);
-      _mm256_storeu_ps(c2 + 24, r2d);
+    for (int j = 0; j < n32; j += 32) {
+      RowTile<3, 4>(a + i * rs, rs, ps, b + j, c + i * n + j, k, n,
+                    accumulate);
     }
-    // Narrower tiles / tails: per-row shared body for the three rows.
-    for (int r = 0; j < n && r < 3; ++r) {
-      const int64_t row = i + r;
-      float* crow = c + row * n;
-      int jj = j;
-      for (; jj + 8 <= n; jj += 8) {
-        __m256 sacc = _mm256_setzero_ps();
-        for (int p = 0; p < k; ++p) {
-          const float av = a[static_cast<int64_t>(p) * m + row];
-          if constexpr (!kBlend) {
-            if (av == 0.0f) continue;
-          }
-          const __m256 va = _mm256_set1_ps(av);
-          const __m256 bv =
-              _mm256_loadu_ps(b + static_cast<int64_t>(p) * n + jj);
-          if constexpr (kBlend) {
-            MaddBlend(sacc, va, _mm256_cmp_ps(va, zero, _CMP_EQ_OQ), bv);
-          } else {
-            Madd(sacc, va, bv);
-          }
-        }
-        float* cj = crow + jj;
-        if (accumulate) sacc = _mm256_add_ps(_mm256_loadu_ps(cj), sacc);
-        _mm256_storeu_ps(cj, sacc);
-      }
-      for (; jj < n; ++jj) {
-        float sv = 0.0f;
-        for (int p = 0; p < k; ++p) {
-          const float av = a[static_cast<int64_t>(p) * m + row];
-          if (av == 0.0f) continue;
-          sv += av * b[static_cast<int64_t>(p) * n + jj];
-        }
-        float* cv = crow + jj;
-        if (accumulate) {
-          *cv += sv;
-        } else {
-          *cv = sv;
-        }
+  }
+  for (int j = 0; j < n32 && i < row_end; j += 32) {
+    if (row_end - i == 2) {
+      RowTile<2, 4>(a + i * rs, rs, ps, b + j, c + i * n + j, k, n,
+                    accumulate);
+    } else {
+      RowTile<1, 4>(a + i * rs, rs, ps, b + j, c + i * n + j, k, n,
+                    accumulate);
+    }
+  }
+}
+
+// Columns [n - n % 32, n) of R rows of MatMulRows starting at row i.
+template <int R>
+void NarrowRows(const float* a, const float* b, float* c, int64_t i, int k,
+                int n, bool accumulate) {
+  const float* ai = a + i * k;
+  float* ci = c + i * n;
+  int j = n - n % 32;
+  for (; j + 8 <= n; j += 8) {
+    RowTile<R, 1>(ai, k, 1, b + j, ci + j, k, n, accumulate);
+  }
+  for (; j < n; ++j) RowColumn<R>(ai, b + j, ci + j, k, n, accumulate);
+}
+
+// W columns of output rows [0, rows) of MatMulTaRows, vectorized across
+// rows: s[blk][w] holds column w of rows 8*blk .. 8*blk+7. With kPartial,
+// the last block may hold fewer than 8 rows; it loads under a lane mask and
+// stores only those rows. `a`, `b` and `c` point at the group's origin.
+template <int W, int NB, bool kPartial>
+void AcrossRows(const float* a, const float* b, float* c, int64_t rows,
+                int m, int k, int n, bool accumulate) {
+  const int last_rows = kPartial ? static_cast<int>(rows - 8 * (NB - 1)) : 8;
+  const __m256i last_mask = LaneMask(last_rows);
+  __m256 s[NB][W] = {};
+  for (int p = 0; p < k; ++p) {
+    const float* ap = a + static_cast<int64_t>(p) * m;
+    const float* bp = b + static_cast<int64_t>(p) * n;
+    __m256 av[NB];
+#pragma GCC unroll 8
+    for (int blk = 0; blk < NB; ++blk) {
+      av[blk] = kPartial && blk == NB - 1
+                    ? _mm256_maskload_ps(ap + 8 * blk, last_mask)
+                    : _mm256_loadu_ps(ap + 8 * blk);
+    }
+#pragma GCC unroll 8
+    for (int w = 0; w < W; ++w) {
+      const __m256 bv = _mm256_broadcast_ss(bp + w);
+#pragma GCC unroll 8
+      for (int blk = 0; blk < NB; ++blk) Madd(s[blk][w], av[blk], bv);
+    }
+  }
+  alignas(32) float lane[8];
+#pragma GCC unroll 8
+  for (int blk = 0; blk < NB; ++blk) {
+    const int valid = blk == NB - 1 ? last_rows : 8;
+#pragma GCC unroll 8
+    for (int w = 0; w < W; ++w) {
+      _mm256_store_ps(lane, s[blk][w]);
+      for (int r = 0; r < valid; ++r) {
+        Store1(c + static_cast<int64_t>(8 * blk + r) * n + w, lane[r],
+               accumulate);
       }
     }
   }
-  for (; i < row_end; ++i) {
-    OuterProductRow<kBlend>(
-        [a, m, i](int p) { return a[static_cast<int64_t>(p) * m + i]; }, b,
-        c + i * n, k, n, accumulate);
+}
+
+// The last row group of a column group: rows < 8 * NB, in ceil(rows / 8)
+// blocks.
+template <int W, int NB>
+void AcrossRowsTail(const float* a, const float* b, float* c, int64_t rows,
+                    int m, int k, int n, bool accumulate) {
+  if constexpr (NB > 1) {
+    if (rows <= 8 * (NB - 1)) {
+      AcrossRowsTail<W, NB - 1>(a, b, c, rows, m, k, n, accumulate);
+      return;
+    }
+  }
+  AcrossRows<W, NB, true>(a, b, c, rows, m, k, n, accumulate);
+}
+
+// W <= 8 columns of every output row: narrow groups keep 8 / W row blocks
+// in flight, so each p advances about eight chains.
+template <int W>
+void TaColumns(const float* a, const float* b, float* c, int64_t rows, int w,
+               int m, int k, int n, bool accumulate) {
+  if constexpr (W > 1) {
+    if (w < W) {
+      TaColumns<W - 1>(a, b, c, rows, w, m, k, n, accumulate);
+      return;
+    }
+  }
+  constexpr int kBlocks = 8 / W;
+  int64_t r = 0;
+  for (; r + 8 * kBlocks <= rows; r += 8 * kBlocks) {
+    AcrossRows<W, kBlocks, false>(a + r, b, c + r * n, 8 * kBlocks, m, k, n,
+                                  accumulate);
+  }
+  if (r < rows) {
+    AcrossRowsTail<W, kBlocks>(a + r, b, c + r * n, rows - r, m, k, n,
+                               accumulate);
+  }
+}
+
+// One row of MatMulTbRows over T 8-column tiles of bt = B^T ([k x n]).
+// kMasked: one tile of the n % 8 columns, loaded and stored under `mask`.
+template <int T, bool kMasked>
+inline void TbTile(const float* arow, const float* bt, float* c, int k, int n,
+                   __m256i mask, bool accumulate) {
+  const auto load = [mask](const float* p) {
+    if constexpr (kMasked) {
+      return _mm256_maskload_ps(p, mask);
+    } else {
+      return _mm256_loadu_ps(p);
+    }
+  };
+  __m256 q0[T] = {}, q1[T] = {}, q2[T] = {}, q3[T] = {};
+  int p = 0;
+  // Unrolled (-funroll-loops), this loop runs out of ymm registers and
+  // spills a chain to the stack every step.
+#pragma GCC unroll 1
+  for (; p + 4 <= k; p += 4) {
+    const float* r0 = bt + static_cast<int64_t>(p) * n;
+    const __m256 v0 = _mm256_broadcast_ss(arow + p);
+    const __m256 v1 = _mm256_broadcast_ss(arow + p + 1);
+    const __m256 v2 = _mm256_broadcast_ss(arow + p + 2);
+    const __m256 v3 = _mm256_broadcast_ss(arow + p + 3);
+#pragma GCC unroll 2
+    for (int t = 0; t < T; ++t) {
+      Madd(q0[t], v0, load(r0 + 8 * t));
+      Madd(q1[t], v1, load(r0 + n + 8 * t));
+      Madd(q2[t], v2, load(r0 + 2 * n + 8 * t));
+      Madd(q3[t], v3, load(r0 + 3 * n + 8 * t));
+    }
+  }
+  for (; p < k; ++p) {  // k % 4 tail: extends chain 0
+    const float* r0 = bt + static_cast<int64_t>(p) * n;
+    const __m256 v0 = _mm256_broadcast_ss(arow + p);
+#pragma GCC unroll 2
+    for (int t = 0; t < T; ++t) Madd(q0[t], v0, load(r0 + 8 * t));
+  }
+#pragma GCC unroll 2
+  for (int t = 0; t < T; ++t) {
+    __m256 d = _mm256_add_ps(_mm256_add_ps(q0[t], q1[t]),
+                             _mm256_add_ps(q2[t], q3[t]));
+    if (accumulate) d = _mm256_add_ps(load(c + 8 * t), d);
+    if constexpr (kMasked) {
+      _mm256_maskstore_ps(c + 8 * t, mask, d);
+    } else {
+      _mm256_storeu_ps(c + 8 * t, d);
+    }
   }
 }
 
@@ -314,22 +311,38 @@ void MatMulTaBody(const float* a, const float* b, float* c, int64_t row_begin,
 
 void MatMulRows(const float* a, const float* b, float* c, int64_t row_begin,
                 int64_t row_end, int k, int n, bool accumulate) {
-  const int64_t span = (row_end - row_begin) * k;
-  if (span > 0 && ProbeSparse(a + row_begin * k, span, 1)) {
-    MatMulRowsBody<true>(a, b, c, row_begin, row_end, k, n, accumulate);
-  } else {
-    MatMulRowsBody<false>(a, b, c, row_begin, row_end, k, n, accumulate);
+  if (!AllFinite(b, static_cast<int64_t>(k) * n)) {
+    ScalarTable().matmul_rows(a, b, c, row_begin, row_end, k, n, accumulate);
+    return;
   }
+  WideTiles(a, k, 1, b, c, row_begin, row_end, k, n, accumulate);
+  if (n % 32 == 0) return;
+  int64_t i = row_begin;
+  for (; i + 8 <= row_end; i += 8) NarrowRows<8>(a, b, c, i, k, n, accumulate);
+  if (i + 4 <= row_end) {
+    NarrowRows<4>(a, b, c, i, k, n, accumulate);
+    i += 4;
+  }
+  if (i + 2 <= row_end) {
+    NarrowRows<2>(a, b, c, i, k, n, accumulate);
+    i += 2;
+  }
+  if (i < row_end) NarrowRows<1>(a, b, c, i, k, n, accumulate);
 }
 
 void MatMulTaRows(const float* a, const float* b, float* c, int64_t row_begin,
                   int64_t row_end, int m, int k, int n, bool accumulate) {
-  // Sample column row_begin of a (stride m) for the sparsity choice.
-  if (k > 0 && row_end > row_begin &&
-      ProbeSparse(a + row_begin, k, m)) {
-    MatMulTaBody<true>(a, b, c, row_begin, row_end, m, k, n, accumulate);
-  } else {
-    MatMulTaBody<false>(a, b, c, row_begin, row_end, m, k, n, accumulate);
+  if (!AllFinite(b, static_cast<int64_t>(k) * n)) {
+    ScalarTable().matmul_ta_rows(a, b, c, row_begin, row_end, m, k, n,
+                                 accumulate);
+    return;
+  }
+  // a is [k x m] and output row i reads column i of a: a[p*m + i].
+  WideTiles(a, 1, m, b, c, row_begin, row_end, k, n, accumulate);
+  for (int j = n - n % 32; j < n; j += 8) {
+    TaColumns<8>(a + row_begin, b + j, c + row_begin * n + j,
+                 row_end - row_begin, std::min(8, n - j), m, k, n,
+                 accumulate);
   }
 }
 
@@ -351,88 +364,20 @@ void MatMulTbRows(const float* a, const float* b, float* c, int64_t row_begin,
     for (int p = 0; p < k; ++p) bt[static_cast<int64_t>(p) * n + j] = brow[p];
   }
 
+  const __m256i tail_mask = LaneMask(n % 8);
   for (int64_t i = row_begin; i < row_end; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     int j = 0;
-    // Sixteen output columns per block: chain q lives in two ymm registers
-    // (8 + 8 lanes), fold order (c0+c1)+(c2+c3) per element as in scalar.
     for (; j + 16 <= n; j += 16) {
-      __m256 c0a = _mm256_setzero_ps(), c0b = c0a;
-      __m256 c1a = c0a, c1b = c0a;
-      __m256 c2a = c0a, c2b = c0a;
-      __m256 c3a = c0a, c3b = c0a;
-      int p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const float* r0 = bt + static_cast<int64_t>(p) * n + j;
-        const float* r1 = r0 + n, *r2 = r0 + 2 * n, *r3 = r0 + 3 * n;
-        const __m256 v0 = _mm256_set1_ps(arow[p]);
-        const __m256 v1 = _mm256_set1_ps(arow[p + 1]);
-        const __m256 v2 = _mm256_set1_ps(arow[p + 2]);
-        const __m256 v3 = _mm256_set1_ps(arow[p + 3]);
-        Madd(c0a, v0, _mm256_loadu_ps(r0));
-        Madd(c0b, v0, _mm256_loadu_ps(r0 + 8));
-        Madd(c1a, v1, _mm256_loadu_ps(r1));
-        Madd(c1b, v1, _mm256_loadu_ps(r1 + 8));
-        Madd(c2a, v2, _mm256_loadu_ps(r2));
-        Madd(c2b, v2, _mm256_loadu_ps(r2 + 8));
-        Madd(c3a, v3, _mm256_loadu_ps(r3));
-        Madd(c3b, v3, _mm256_loadu_ps(r3 + 8));
-      }
-      if (p < k) {
-        // k % 4 tail: extend chain 0 scalar-wise before the fold.
-        alignas(32) float s0[16], s1[16], s2[16], s3[16];
-        _mm256_store_ps(s0, c0a);
-        _mm256_store_ps(s0 + 8, c0b);
-        _mm256_store_ps(s1, c1a);
-        _mm256_store_ps(s1 + 8, c1b);
-        _mm256_store_ps(s2, c2a);
-        _mm256_store_ps(s2 + 8, c2b);
-        _mm256_store_ps(s3, c3a);
-        _mm256_store_ps(s3 + 8, c3b);
-        for (; p < k; ++p) {
-          const float av = arow[p];
-          const float* r = bt + static_cast<int64_t>(p) * n + j;
-          for (int t = 0; t < 16; ++t) s0[t] += av * r[t];
-        }
-        for (int t = 0; t < 16; ++t) {
-          const float d = (s0[t] + s1[t]) + (s2[t] + s3[t]);
-          if (accumulate) {
-            crow[j + t] += d;
-          } else {
-            crow[j + t] = d;
-          }
-        }
-      } else {
-        __m256 da = _mm256_add_ps(_mm256_add_ps(c0a, c1a),
-                                  _mm256_add_ps(c2a, c3a));
-        __m256 db = _mm256_add_ps(_mm256_add_ps(c0b, c1b),
-                                  _mm256_add_ps(c2b, c3b));
-        if (accumulate) {
-          da = _mm256_add_ps(_mm256_loadu_ps(crow + j), da);
-          db = _mm256_add_ps(_mm256_loadu_ps(crow + j + 8), db);
-        }
-        _mm256_storeu_ps(crow + j, da);
-        _mm256_storeu_ps(crow + j + 8, db);
-      }
+      TbTile<2, false>(arow, bt + j, crow + j, k, n, tail_mask, accumulate);
     }
-    for (; j < n; ++j) {
-      const float* brow = b + static_cast<int64_t>(j) * k;
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      int p = 0;
-      for (; p + 4 <= k; p += 4) {
-        acc0 += arow[p] * brow[p];
-        acc1 += arow[p + 1] * brow[p + 1];
-        acc2 += arow[p + 2] * brow[p + 2];
-        acc3 += arow[p + 3] * brow[p + 3];
-      }
-      for (; p < k; ++p) acc0 += arow[p] * brow[p];
-      const float dot = (acc0 + acc1) + (acc2 + acc3);
-      if (accumulate) {
-        crow[j] += dot;
-      } else {
-        crow[j] = dot;
-      }
+    if (j + 8 <= n) {
+      TbTile<1, false>(arow, bt + j, crow + j, k, n, tail_mask, accumulate);
+      j += 8;
+    }
+    if (j < n) {
+      TbTile<1, true>(arow, bt + j, crow + j, k, n, tail_mask, accumulate);
     }
   }
 }

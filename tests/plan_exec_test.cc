@@ -8,9 +8,14 @@
 // scalar-vs-AVX2 kernel-table comparison pin down the two layers the plan
 // rests on: backward scheduling and the SIMD kernels.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,23 +225,47 @@ TEST(PlanExecTest, GradcheckUnderPlannedExecutor) {
 
 // --- scalar vs AVX2 kernel tables ----------------------------------------
 // The hand-written AVX2 matmul family re-tiles the loops; every element
-// must still come out bit-identical to the scalar reference, including
-// zero-skip behaviour (exercised by a ReLU-like sparse operand) and the
-// accumulate mode. Skipped on builds/CPUs without the AVX2 table.
+// must still come out bit-identical to the scalar reference. The sweep
+// covers every column-tile class (n = 1 .. 43), the four-chain k % 4 tails,
+// row counts off the 8-row blocks, the executor's 12-row chunks (so most
+// calls start at row_begin > 0), and accumulate on and off. Three operand
+// sets: dense; ±0-rich A and B (the dense AVX2 bodies add the terms the
+// reference skips, which must not show); and ±Inf/NaN in B beside zeros in
+// A (0 * Inf is where skipping shows, so that call must take the scalar
+// fallback). Skipped on builds/CPUs without the AVX2 table.
 
 nn::Tensor SparseRandom(int rows, int cols, double zero_fraction, Rng& rng) {
   nn::Tensor t = nn::Tensor::RandomNormal(rows, cols, 1.0, rng);
   for (size_t i = 0; i < t.size(); ++i) {
-    if (rng.Uniform(0.0, 1.0) < zero_fraction) t.data()[i] = 0.0f;
+    if (rng.Uniform(0.0, 1.0) < zero_fraction) {
+      t.data()[i] = rng.Uniform(0.0, 1.0) < 0.5 ? 0.0f : -0.0f;
+    }
   }
   return t;
 }
 
+// Plants +Inf, -Inf and NaN in t.
+void PoisonNonFinite(nn::Tensor& t) {
+  const size_t n = t.size();
+  t.data()[0] = std::numeric_limits<float>::infinity();
+  t.data()[n / 2] = -std::numeric_limits<float>::infinity();
+  t.data()[n - 1] = std::numeric_limits<float>::quiet_NaN();
+}
+
+// Same 32-bit pattern (so -0 != +0), except that any NaN equals any NaN:
+// NaN payloads are not part of the kernel contract.
+bool SameBits(float x, float y) {
+  if (std::isnan(x) && std::isnan(y)) return true;
+  return std::bit_cast<uint32_t>(x) == std::bit_cast<uint32_t>(y);
+}
+
 void ExpectSameBits(const nn::Tensor& a, const nn::Tensor& b,
-                    const char* label) {
+                    const std::string& label) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << label << " flat index " << i;
+    ASSERT_TRUE(SameBits(a.data()[i], b.data()[i]))
+        << label << " flat index " << i << ": " << a.data()[i] << " vs "
+        << b.data()[i];
   }
 }
 
@@ -247,49 +276,82 @@ TEST(PlanExecTest, Avx2MatMulKernelsMatchScalarBitwise) {
   }
   const nn::kernels::KernelTable& scalar = nn::kernels::ScalarTable();
   Rng rng(77);
-  // Deliberately awkward shapes: j tails of every width class (32/8/scalar)
-  // and a k % 4 tail for the four-chain tb kernel.
-  const int m = 13, k = 37, n = 43;
-  for (double zero_fraction : {0.0, 0.6}) {
-    for (bool accumulate : {false, true}) {
-      const nn::Tensor a = SparseRandom(m, k, zero_fraction, rng);
-      const nn::Tensor b = SparseRandom(k, n, 0.0, rng);
-      const nn::Tensor at = SparseRandom(k, m, zero_fraction, rng);
-      const nn::Tensor bt = SparseRandom(n, k, 0.0, rng);
-      const nn::Tensor seed_c = SparseRandom(m, n, 0.0, rng);
-
-      nn::Tensor c_s = seed_c, c_v = seed_c;
-      if (!accumulate) {
-        c_s.Fill(0.0f);
-        c_v.Fill(0.0f);
+  using Table = nn::kernels::KernelTable;
+  // Runs one kernel of both tables over the output rows in `chunk`-row
+  // calls, from the same stale output (so accumulate=false must overwrite
+  // every element), and compares the results. Each AVX2 call may write
+  // only its own rows: the rows outside [rb, re), and eight guard rows past
+  // the end of the output, must keep their bits.
+  constexpr int kGuardRows = 8;
+  constexpr float kGuard = 1234.5f;
+  const auto compare = [&](const std::string& label, const nn::Tensor& seed,
+                           int chunk, const auto& call) {
+    const int rows = seed.rows(), cols = seed.cols();
+    nn::Tensor c_s = seed;
+    nn::Tensor c_v(rows + kGuardRows, cols);
+    c_v.Fill(kGuard);
+    std::copy(seed.data(), seed.data() + seed.size(), c_v.data());
+    for (int rb = 0; rb < rows; rb += chunk) {
+      const int re = std::min(rows, rb + chunk);
+      call(scalar, c_s.data(), rb, re);
+      const nn::Tensor before = c_v;
+      call(*avx2, c_v.data(), rb, re);
+      for (int r = 0; r < rows + kGuardRows; ++r) {
+        if (r >= rb && r < re) continue;
+        for (int c = 0; c < cols; ++c) {
+          ASSERT_TRUE(SameBits(before.at(r, c), c_v.at(r, c)))
+              << label << " rows [" << rb << ", " << re << ") wrote row "
+              << r << " column " << c;
+        }
       }
-      scalar.matmul_rows(a.data(), b.data(), c_s.data(), 0, m, k, n,
-                         accumulate);
-      avx2->matmul_rows(a.data(), b.data(), c_v.data(), 0, m, k, n,
-                        accumulate);
-      ExpectSameBits(c_s, c_v, "matmul_rows");
-
-      nn::Tensor t_s = seed_c, t_v = seed_c;
-      if (!accumulate) {
-        t_s.Fill(0.0f);
-        t_v.Fill(0.0f);
+    }
+    nn::Tensor result(rows, cols);
+    std::copy(c_v.data(), c_v.data() + result.size(), result.data());
+    ExpectSameBits(c_s, result, label);
+  };
+  for (int m : {5, 29}) {
+    for (int k : {1, 3, 8, 32, 37}) {
+      for (int n : {1, 2, 7, 8, 9, 16, 24, 33, 43}) {
+        for (const char* operands : {"dense", "signed-zeros", "non-finite-B"}) {
+          const std::string mode = operands;
+          const double a_zeros = mode == "dense" ? 0.0 : 0.6;
+          const double b_zeros = mode == "signed-zeros" ? 0.5 : 0.0;
+          const nn::Tensor a = SparseRandom(m, k, a_zeros, rng);
+          const nn::Tensor at = SparseRandom(k, m, a_zeros, rng);
+          nn::Tensor b = SparseRandom(k, n, b_zeros, rng);
+          nn::Tensor bt = SparseRandom(n, k, b_zeros, rng);
+          if (mode == "non-finite-B") {
+            PoisonNonFinite(b);
+            PoisonNonFinite(bt);
+          }
+          const nn::Tensor seed = SparseRandom(m, n, 0.2, rng);
+          for (bool accumulate : {false, true}) {
+            for (int chunk : {m, 12}) {
+              if (chunk > m) continue;  // one chunk: already covered
+              const std::string label =
+                  "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                  " n=" + std::to_string(n) + " " + mode +
+                  (accumulate ? " accumulate" : "") +
+                  " chunk=" + std::to_string(chunk) + " ";
+              compare(label + "matmul_rows", seed, chunk,
+                      [&](const Table& t, float* c, int rb, int re) {
+                        t.matmul_rows(a.data(), b.data(), c, rb, re, k, n,
+                                      accumulate);
+                      });
+              compare(label + "matmul_ta_rows", seed, chunk,
+                      [&](const Table& t, float* c, int rb, int re) {
+                        t.matmul_ta_rows(at.data(), b.data(), c, rb, re, m,
+                                         k, n, accumulate);
+                      });
+              compare(label + "matmul_tb_rows", seed, chunk,
+                      [&](const Table& t, float* c, int rb, int re) {
+                        t.matmul_tb_rows(a.data(), bt.data(), c, rb, re, k,
+                                         n, accumulate);
+                      });
+            }
+          }
+        }
       }
-      scalar.matmul_ta_rows(at.data(), b.data(), t_s.data(), 0, m, m, k, n,
-                            accumulate);
-      avx2->matmul_ta_rows(at.data(), b.data(), t_v.data(), 0, m, m, k, n,
-                           accumulate);
-      ExpectSameBits(t_s, t_v, "matmul_ta_rows");
-
-      nn::Tensor d_s = seed_c, d_v = seed_c;
-      if (!accumulate) {
-        d_s.Fill(0.0f);
-        d_v.Fill(0.0f);
-      }
-      scalar.matmul_tb_rows(a.data(), bt.data(), d_s.data(), 0, m, k, n,
-                            accumulate);
-      avx2->matmul_tb_rows(a.data(), bt.data(), d_v.data(), 0, m, k, n,
-                           accumulate);
-      ExpectSameBits(d_s, d_v, "matmul_tb_rows");
     }
   }
 }
