@@ -178,6 +178,7 @@ total_busy = sum(r["busy_ms"] for r in dispatched.values())
 total_idle = sum(r["idle_ms"] for r in dispatched.values())
 print(f"profiler smoke: {len(p1['regions'])} regions, "
       f"{len(p1['ops'])} ops, counts thread-invariant; "
+      f"{total_chunks} chunks (ceiling {PR7_CHUNKS // 10}); "
       f"busy {total_busy:.0f} ms vs idle {total_idle:.0f} ms across "
       f"{len(dispatched)} dispatched regions")
 for name, r in worst:

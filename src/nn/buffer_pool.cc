@@ -9,24 +9,29 @@ TensorPool& TensorPool::Global() {
   return *pool;
 }
 
+bool TensorPool::TryTake(int rows, int cols, Tensor* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = free_.find(ShapeKey(rows, cols));
+  if (it == free_.end() || it->second.empty()) return false;
+  *out = std::move(it->second.back());
+  it->second.pop_back();
+  bytes_ -= out->size() * sizeof(float);
+  return true;
+}
+
 Tensor TensorPool::Acquire(int rows, int cols) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = free_.find(ShapeKey(rows, cols));
-    if (it != free_.end() && !it->second.empty()) {
-      Tensor t = std::move(it->second.back());
-      it->second.pop_back();
-      bytes_ -= t.size() * sizeof(float);
-      return t;
-    }
-  }
+  Tensor t;
+  if (TryTake(rows, cols, &t)) return t;
   return Tensor(rows, cols);
 }
 
 Tensor TensorPool::AcquireZeroed(int rows, int cols) {
-  Tensor t = Acquire(rows, cols);
-  t.Fill(0.0f);
-  return t;
+  Tensor t;
+  if (TryTake(rows, cols, &t)) {
+    t.Fill(0.0f);
+    return t;
+  }
+  return Tensor(rows, cols);  // a fresh tensor is value-initialized
 }
 
 void TensorPool::Release(Tensor t) {

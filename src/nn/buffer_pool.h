@@ -19,9 +19,10 @@ namespace o2sr::nn {
 // destruction and the executors draw from the pool instead of the heap.
 //
 // Acquire() returns a buffer with *stale contents* — callers either fully
-// overwrite it (every forward op does) or ask for AcquireZeroed() (gradient
-// slots, which are accumulated into). Reuse therefore never changes any
-// computed bit, only where the bytes live.
+// overwrite it (every forward op does, and so does a gradient slot's first
+// writer) or ask for AcquireZeroed() (gradient slots that are read or
+// partly written before anything covers them). Reuse therefore never
+// changes any computed bit, only where the bytes live.
 //
 // The pool is bounded: Release() beyond the cap simply drops the tensor,
 // so a burst of odd shapes cannot grow the pool without limit.
@@ -31,7 +32,8 @@ class TensorPool {
 
   // A buffer of the given shape with unspecified contents.
   Tensor Acquire(int rows, int cols);
-  // A buffer of the given shape filled with zeros.
+  // A buffer of the given shape filled with zeros (a miss allocates one,
+  // which comes zeroed; only a recycled buffer is filled).
   Tensor AcquireZeroed(int rows, int cols);
   // Returns a buffer to the pool (dropped when the pool is at capacity or
   // the tensor is empty).
@@ -43,6 +45,9 @@ class TensorPool {
 
  private:
   TensorPool() = default;
+
+  // Moves a pooled buffer of the shape into *out; false on a miss.
+  bool TryTake(int rows, int cols, Tensor* out);
 
   static constexpr size_t kMaxBytes = size_t{512} << 20;
 

@@ -59,30 +59,4 @@ const KernelTable& Active() {
   return *table;
 }
 
-std::vector<KernelInfo> Registry() {
-  const char* simd = SimdName(ActiveSimd());
-  std::vector<KernelInfo> infos;
-  for (const char* name :
-       {"nn.matmul", "nn.matmul_ta", "nn.matmul_tb", "nn.add", "nn.sub",
-        "nn.mul", "nn.scale", "nn.acc_add", "nn.acc_sub", "nn.acc_scale",
-        "nn.acc_mul", "nn.acc_const", "nn.relu", "nn.leaky_relu",
-        "nn.acc_relu_bwd", "nn.acc_leaky_bwd", "nn.acc_sigmoid_bwd",
-        "nn.acc_tanh_bwd", "nn.add_row_broadcast", "nn.mul_col_broadcast",
-        "nn.acc_mul_col_bwd_x", "nn.acc_rowwise_dot_bwd",
-        "nn.linear_act"}) {
-    infos.push_back({name, simd});
-  }
-  for (const char* name :
-       {"nn.sigmoid", "nn.tanh", "nn.softmax_rows", "nn.softmax_rows_bwd",
-        "nn.rowwise_dot", "nn.col_sum_acc", "nn.mul_col_bwd_col",
-        "nn.gather_rows", "nn.gather_rows_bwd", "nn.segment_sum",
-        "nn.segment_sum_bwd", "nn.segment_mean", "nn.segment_mean_bwd",
-        "nn.segment_softmax", "nn.segment_softmax_bwd",
-        "nn.mul_col_segment_sum", "nn.mse", "nn.mse_bwd", "nn.mae",
-        "nn.mae_bwd"}) {
-    infos.push_back({name, "scalar"});
-  }
-  return infos;
-}
-
 }  // namespace o2sr::nn::kernels

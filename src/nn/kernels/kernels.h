@@ -2,8 +2,6 @@
 #define O2SR_NN_KERNELS_KERNELS_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace o2sr::nn::kernels {
 
@@ -26,8 +24,7 @@ namespace o2sr::nn::kernels {
 //
 // Kernels that cannot be vectorized without changing results (libm calls,
 // ordered double-precision accumulations, scatter loops) have a single
-// shared implementation in kernels_common.cc and are listed in the registry
-// at level "scalar".
+// shared implementation in kernels_common.cc.
 
 enum class Simd { kScalar, kAvx2 };
 
@@ -45,7 +42,9 @@ struct KernelTable {
   // skips zero A entries; that skip shows only when B holds ±Inf or NaN
   // (0 * Inf = NaN), so a SIMD body may add every term while B is finite
   // and must run the reference otherwise (DESIGN.md §13; matmul_ta_rows
-  // likewise). accumulate=false zeroes each output row first.
+  // likewise). accumulate=false stores each sum. The three kernels' sums
+  // start at +0 and so are never -0, which makes that store equal 0.0f +
+  // sum: the first-write rule of the acc_* kernels below.
   void (*matmul_rows)(const float* a, const float* b, float* c,
                       int64_t row_begin, int64_t row_end, int k, int n,
                       bool accumulate);
@@ -71,28 +70,37 @@ struct KernelTable {
               int64_t end);
   void (*scale)(const float* a, float s, float* out, int64_t begin,
                 int64_t end);
-  void (*acc_add)(float* dst, const float* src, int64_t begin, int64_t end);
-  void (*acc_sub)(float* dst, const float* src, int64_t begin, int64_t end);
+  // The acc_* kernels add one gradient term v per element: dst[i] += v.
+  // With accumulate=false the call is the slot's first writer and stores
+  // 0.0f + v instead, bit for bit what adding v to a zeroed slot gives,
+  // without reading dst (the planned executor hands the first writer a
+  // stale pooled buffer; DESIGN.md §13). acc_sub stores 0.0f - v likewise.
+  void (*acc_add)(float* dst, const float* src, int64_t begin, int64_t end,
+                  bool accumulate);
+  void (*acc_sub)(float* dst, const float* src, int64_t begin, int64_t end,
+                  bool accumulate);
   void (*acc_scale)(float* dst, const float* src, float s, int64_t begin,
-                    int64_t end);
+                    int64_t end, bool accumulate);
   // dst[i] += g[i] * m[i]  (dropout/mul backward)
   void (*acc_mul)(float* dst, const float* g, const float* m, int64_t begin,
-                  int64_t end);
-  void (*acc_const)(float* dst, float c, int64_t begin, int64_t end);
+                  int64_t end, bool accumulate);
+  void (*acc_const)(float* dst, float c, int64_t begin, int64_t end,
+                    bool accumulate);
   void (*relu)(const float* x, float* out, int64_t begin, int64_t end);
   void (*leaky_relu)(const float* x, float slope, float* out, int64_t begin,
                      int64_t end);
-  // gx[i] += g[i] where x[i] > 0
+  // gx[i] += g[i] where x[i] > 0 (a first write stores +0 elsewhere)
   void (*acc_relu_bwd)(const float* x, const float* g, float* gx,
-                       int64_t begin, int64_t end);
+                       int64_t begin, int64_t end, bool accumulate);
   void (*acc_leaky_bwd)(const float* x, float slope, const float* g,
-                        float* gx, int64_t begin, int64_t end);
+                        float* gx, int64_t begin, int64_t end,
+                        bool accumulate);
   // gx[i] += g[i] * y[i] * (1 - y[i])  (y = sigmoid output)
   void (*acc_sigmoid_bwd)(const float* y, const float* g, float* gx,
-                          int64_t begin, int64_t end);
+                          int64_t begin, int64_t end, bool accumulate);
   // gx[i] += g[i] * (1 - y[i]^2)  (y = tanh output)
   void (*acc_tanh_bwd)(const float* y, const float* g, float* gx,
-                       int64_t begin, int64_t end);
+                       int64_t begin, int64_t end, bool accumulate);
 
   // --- row-structured (ranges over rows) ---
   // out[r,:] = x[r,:] + bias[0,:]
@@ -103,11 +111,14 @@ struct KernelTable {
                             int64_t row_begin, int64_t row_end, int cols);
   // gx[r,:] += g[r,:] * col[r]
   void (*acc_mul_col_bwd_x)(const float* g, const float* col, float* gx,
-                            int64_t row_begin, int64_t row_end, int cols);
-  // gra[r,:] += g[r] * vb[r,:] ; grb[r,:] += g[r] * va[r,:]
+                            int64_t row_begin, int64_t row_end, int cols,
+                            bool accumulate);
+  // ga[r,:] += g[r] * vb[r,:] ; gb[r,:] += g[r] * va[r,:], ga's row first
+  // (ga and gb may be one slot). Each destination has its own flag.
   void (*acc_rowwise_dot_bwd)(const float* g, const float* va,
                               const float* vb, float* ga, float* gb,
-                              int64_t row_begin, int64_t row_end, int cols);
+                              int64_t row_begin, int64_t row_end, int cols,
+                              bool accumulate_a, bool accumulate_b);
 };
 
 // The dispatch table for the active SIMD level.
@@ -126,18 +137,39 @@ void TanhForward(const float* x, float* out, int64_t begin, int64_t end);
 // Row-wise softmax with per-row max shift and double sum.
 void SoftmaxRowsForward(const float* x, float* out, int64_t row_begin,
                         int64_t row_end, int cols);
+// The backward kernels here follow the KernelTable's gradient rule: one
+// term per element, stored as 0.0f + v when accumulate is false.
 void SoftmaxRowsBackward(const float* y, const float* g, float* gx,
-                         int64_t row_begin, int64_t row_end, int cols);
+                         int64_t row_begin, int64_t row_end, int cols,
+                         bool accumulate);
 // out[r] = dot(a[r,:], b[r,:]) with a double accumulator.
 void RowwiseDotForward(const float* a, const float* b, float* out,
                        int64_t row_begin, int64_t row_end, int cols);
-// gb[0,c] += sum_r g[r,c], rows processed in order.
-void ColSumAcc(const float* g, float* gb, int64_t rows, int cols);
+// gb[0,c] += sum_r g[r,c], rows processed in order; accumulate=false
+// zeroes the [1 x cols] gb first.
+void ColSumAcc(const float* g, float* gb, int64_t rows, int cols,
+               bool accumulate);
 // gcol[r] += dot(g[r,:], x[r,:]) with a double accumulator (per row, so
 // the kernel chunks over rows).
 void MulColBwdColAcc(const float* g, const float* x, float* gcol,
-                     int64_t row_begin, int64_t row_end, int cols);
+                     int64_t row_begin, int64_t row_end, int cols,
+                     bool accumulate);
+// One input of ConcatColsBackward: its gradient slot, its width, and its
+// first-write flag.
+struct ConcatGrad {
+  float* data;
+  int width;
+  bool accumulate;
+};
+// Column-concat backward over rows [row_begin, row_end) of g, whose rows
+// are the inputs' widths side by side: input k's row takes the next
+// width_k columns. Inputs go in order within a row, so an input listed
+// twice gets its first write first.
+void ConcatColsBackward(const float* g, const ConcatGrad* inputs,
+                        int num_inputs, int64_t row_begin, int64_t row_end);
 // Gather / segment primitives (serial scatter order is the contract).
+// GatherRowsBackward scatter-adds into rows it may never reach, so its
+// gx must hold every earlier contribution, zeros included.
 void GatherRowsForward(const float* x, const int* index, int64_t num_index,
                        float* out, int cols);
 void GatherRowsBackward(const float* g, const int* index, int64_t num_index,
@@ -145,18 +177,18 @@ void GatherRowsBackward(const float* g, const int* index, int64_t num_index,
 void SegmentSumForward(const float* x, const int* segment, int64_t rows,
                        float* out, int cols);
 void SegmentSumBackward(const float* g, const int* segment, int64_t rows,
-                        float* gx, int cols);
+                        float* gx, int cols, bool accumulate);
 void SegmentMeanForward(const float* x, const int* segment,
                         const int* counts, int64_t rows, float* out,
                         int cols);
 void SegmentMeanBackward(const float* g, const int* segment,
                          const int* counts, int64_t rows, float* gx,
-                         int cols);
+                         int cols, bool accumulate);
 void SegmentSoftmaxForward(const float* scores, const int* segment,
                            int64_t rows, int num_segments, float* out);
 void SegmentSoftmaxBackward(const float* y, const float* g,
                             const int* segment, int64_t rows,
-                            int num_segments, float* gs);
+                            int num_segments, float* gs, bool accumulate);
 // Fused MulColBroadcast -> SegmentSum scatter (plan fusion pattern B):
 // out[segment[e], :] += x[e, :] * col[e], e in order. `out` must be
 // zeroed by the caller; the [rows x cols] product is never materialized.
@@ -165,21 +197,15 @@ void SegmentSoftmaxBackward(const float* y, const float* g,
 void MulColSegmentSumForward(const float* x, const float* col,
                              const int* segment, int64_t rows, float* out,
                              int cols);
-// Losses: forward returns the scalar; backward accumulates into both grads.
+// Losses: forward returns the scalar; backward adds into gp and subtracts
+// from gt, gp's element first (they may be one slot), each with its own
+// flag.
 double MseForward(const float* p, const float* t, int64_t n);
 double MaeForward(const float* p, const float* t, int64_t n);
 void MseBackward(const float* p, const float* t, float scale, float* gp,
-                 float* gt, int64_t n);
+                 float* gt, int64_t n, bool accumulate_p, bool accumulate_t);
 void MaeBackward(const float* p, const float* t, float scale, float* gp,
-                 float* gt, int64_t n);
-
-// Registry of every kernel with the SIMD level it runs at, for
-// introspection and the bench_kernels report. Names are stable.
-struct KernelInfo {
-  std::string name;
-  std::string simd;  // "avx2" or "scalar"
-};
-std::vector<KernelInfo> Registry();
+                 float* gt, int64_t n, bool accumulate_p, bool accumulate_t);
 
 }  // namespace o2sr::nn::kernels
 

@@ -12,6 +12,16 @@
 
 namespace o2sr::nn::kernels {
 
+namespace {
+
+// One gradient term, KernelTable's first-write rule: dst + v, or 0.0f + v
+// when this is the slot's first write.
+inline void Put(bool accumulate, float& dst, float v) {
+  dst = (accumulate ? dst : 0.0f) + v;
+}
+
+}  // namespace
+
 void SigmoidForward(const float* x, float* out, int64_t begin, int64_t end) {
   for (int64_t i = begin; i < end; ++i) {
     out[i] = 1.0f / (1.0f + std::exp(-x[i]));
@@ -41,7 +51,8 @@ void SoftmaxRowsForward(const float* x, float* out, int64_t row_begin,
 }
 
 void SoftmaxRowsBackward(const float* y, const float* g, float* gx,
-                         int64_t row_begin, int64_t row_end, int cols) {
+                         int64_t row_begin, int64_t row_end, int cols,
+                         bool accumulate) {
   for (int64_t r = row_begin; r < row_end; ++r) {
     const float* yr = y + r * cols;
     const float* gr = g + r * cols;
@@ -49,7 +60,7 @@ void SoftmaxRowsBackward(const float* y, const float* g, float* gx,
     double dot = 0.0;
     for (int c = 0; c < cols; ++c) dot += yr[c] * gr[c];
     for (int c = 0; c < cols; ++c) {
-      o[c] += yr[c] * (gr[c] - static_cast<float>(dot));
+      Put(accumulate, o[c], yr[c] * (gr[c] - static_cast<float>(dot)));
     }
   }
 }
@@ -65,7 +76,9 @@ void RowwiseDotForward(const float* a, const float* b, float* out,
   }
 }
 
-void ColSumAcc(const float* g, float* gb, int64_t rows, int cols) {
+void ColSumAcc(const float* g, float* gb, int64_t rows, int cols,
+               bool accumulate) {
+  if (!accumulate) std::fill(gb, gb + cols, 0.0f);
   for (int64_t r = 0; r < rows; ++r) {
     const float* gr = g + r * cols;
     for (int c = 0; c < cols; ++c) gb[c] += gr[c];
@@ -73,13 +86,29 @@ void ColSumAcc(const float* g, float* gb, int64_t rows, int cols) {
 }
 
 void MulColBwdColAcc(const float* g, const float* x, float* gcol,
-                     int64_t row_begin, int64_t row_end, int cols) {
+                     int64_t row_begin, int64_t row_end, int cols,
+                     bool accumulate) {
   for (int64_t r = row_begin; r < row_end; ++r) {
     const float* gr = g + r * cols;
     const float* xr = x + r * cols;
     double acc = 0.0;
     for (int c = 0; c < cols; ++c) acc += gr[c] * xr[c];
-    gcol[r] += static_cast<float>(acc);
+    Put(accumulate, gcol[r], static_cast<float>(acc));
+  }
+}
+
+void ConcatColsBackward(const float* g, const ConcatGrad* inputs,
+                        int num_inputs, int64_t row_begin, int64_t row_end) {
+  int total = 0;
+  for (int k = 0; k < num_inputs; ++k) total += inputs[k].width;
+  for (int64_t r = row_begin; r < row_end; ++r) {
+    const float* src = g + r * total;
+    for (int k = 0; k < num_inputs; ++k) {
+      const ConcatGrad& in = inputs[k];
+      float* dst = in.data + r * in.width;
+      for (int c = 0; c < in.width; ++c) Put(in.accumulate, dst[c], src[c]);
+      src += in.width;
+    }
   }
 }
 
@@ -110,11 +139,11 @@ void SegmentSumForward(const float* x, const int* segment, int64_t rows,
 }
 
 void SegmentSumBackward(const float* g, const int* segment, int64_t rows,
-                        float* gx, int cols) {
+                        float* gx, int cols, bool accumulate) {
   for (int64_t e = 0; e < rows; ++e) {
     const float* gr = g + static_cast<int64_t>(segment[e]) * cols;
     float* dst = gx + e * cols;
-    for (int c = 0; c < cols; ++c) dst[c] += gr[c];
+    for (int c = 0; c < cols; ++c) Put(accumulate, dst[c], gr[c]);
   }
 }
 
@@ -129,12 +158,12 @@ void SegmentMeanForward(const float* x, const int* segment, const int* counts,
 }
 
 void SegmentMeanBackward(const float* g, const int* segment, const int* counts,
-                         int64_t rows, float* gx, int cols) {
+                         int64_t rows, float* gx, int cols, bool accumulate) {
   for (int64_t e = 0; e < rows; ++e) {
     const float* gr = g + static_cast<int64_t>(segment[e]) * cols;
     float* dst = gx + e * cols;
     const float inv = 1.0f / static_cast<float>(counts[segment[e]]);
-    for (int c = 0; c < cols; ++c) dst[c] += gr[c] * inv;
+    for (int c = 0; c < cols; ++c) Put(accumulate, dst[c], gr[c] * inv);
   }
 }
 
@@ -158,14 +187,15 @@ void SegmentSoftmaxForward(const float* scores, const int* segment,
 
 void SegmentSoftmaxBackward(const float* y, const float* g,
                             const int* segment, int64_t rows,
-                            int num_segments, float* gs) {
+                            int num_segments, float* gs, bool accumulate) {
   // d s_e = alpha_e * (g_e - sum_{k in seg} alpha_k g_k)
   std::vector<double> seg_dot(static_cast<size_t>(num_segments), 0.0);
   for (int64_t e = 0; e < rows; ++e) {
     seg_dot[segment[e]] += static_cast<double>(y[e] * g[e]);
   }
   for (int64_t e = 0; e < rows; ++e) {
-    gs[e] += y[e] * (g[e] - static_cast<float>(seg_dot[segment[e]]));
+    Put(accumulate, gs[e],
+        y[e] * (g[e] - static_cast<float>(seg_dot[segment[e]])));
   }
 }
 
@@ -196,21 +226,21 @@ double MaeForward(const float* p, const float* t, int64_t n) {
 }
 
 void MseBackward(const float* p, const float* t, float scale, float* gp,
-                 float* gt, int64_t n) {
+                 float* gt, int64_t n, bool accumulate_p, bool accumulate_t) {
   for (int64_t i = 0; i < n; ++i) {
     const float d = p[i] - t[i];
-    gp[i] += scale * d;
-    gt[i] -= scale * d;
+    Put(accumulate_p, gp[i], scale * d);
+    gt[i] = (accumulate_t ? gt[i] : 0.0f) - scale * d;
   }
 }
 
 void MaeBackward(const float* p, const float* t, float scale, float* gp,
-                 float* gt, int64_t n) {
+                 float* gt, int64_t n, bool accumulate_p, bool accumulate_t) {
   for (int64_t i = 0; i < n; ++i) {
     const float d = p[i] - t[i];
     const float sign = d > 0.0f ? 1.0f : (d < 0.0f ? -1.0f : 0.0f);
-    gp[i] += scale * sign;
-    gt[i] -= scale * sign;
+    Put(accumulate_p, gp[i], scale * sign);
+    gt[i] = (accumulate_t ? gt[i] : 0.0f) - scale * sign;
   }
 }
 

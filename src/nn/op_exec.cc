@@ -50,16 +50,18 @@ namespace detail {
 namespace {
 
 // Grains are pure functions of the shapes, never of the thread count
-// (DESIGN.md §8). They are deliberately much coarser than the tensor.cc
-// legacy policy: every kernel dispatched here parallelizes over disjoint
-// output rows/elements (no cross-chunk accumulation), so the chunk size
-// cannot change bits — only scheduling overhead. ~2M flops per chunk keeps
-// the big [edges x dim] matmuls at a handful of chunks per region (still
-// plenty for a 4-lane pool) instead of the thousands the old 64K-flop
-// grain produced. Reductions are NOT dispatched through this file; their
-// fold association is pinned by the tensor.cc grain, which must not change.
+// (DESIGN.md §8). Every kernel dispatched here writes disjoint output rows
+// or elements and carries no accumulation across chunks, so the chunk size
+// cannot change bits, only scheduling: how many lanes a region can use
+// against the claim and fork/join cost of each chunk. Matmul row blocks
+// take ~2M flops, a handful of chunks for the big [edges x dim] products.
+// Element and row ops take 32K elements (128 KiB of output), so the
+// attention's per-head ops ([E x 8] .. [E x 35], E ~ 1.5k-11k) split into
+// up to a dozen chunks instead of running whole on the calling thread.
+// Reductions are NOT dispatched through this file; their fold association
+// is pinned by the tensor.cc grain, which must not change.
 constexpr int64_t kFlopsPerChunk = int64_t{1} << 21;
-constexpr int64_t kElementGrain = int64_t{1} << 18;
+constexpr int64_t kElementGrain = int64_t{1} << 15;
 
 int64_t RowGrain(int64_t flops_per_row) {
   return std::max<int64_t>(1,
@@ -103,6 +105,31 @@ bool Materialized(const TapeNode& n) {
   return n.value.rows() == n.desc.rows && n.value.cols() == n.desc.cols;
 }
 
+bool GradMaterialized(const TapeNode& n) {
+  return n.grad.rows() == n.desc.rows && n.grad.cols() == n.desc.cols;
+}
+
+// A gradient slot about to take one contribution that covers every element
+// of it (DESIGN.md §13, first-write rule). The first such contribution
+// gets a stale pooled buffer and accumulate == false: its kernel stores
+// 0.0f + v, bit for bit what adding v to a zeroed slot gives. Later ones
+// add. Eager tapes zero every slot at record time, so there every
+// contribution adds: the zero-then-add reference. When one op writes a
+// slot twice (Mul(x, x)), the first claim must be the first write.
+struct GradOut {
+  float* data;
+  bool accumulate;
+};
+
+GradOut WriteGrad(std::vector<TapeNode>& nodes, int id) {
+  TapeNode& n = nodes[static_cast<size_t>(id)];
+  const bool accumulate = GradMaterialized(n);
+  if (!accumulate) {
+    n.grad = TensorPool::Global().Acquire(n.desc.rows, n.desc.cols);
+  }
+  return {n.grad.data(), accumulate};
+}
+
 // Output slot, drawn from the recycling pool when not already materialized.
 // Pooled buffers carry stale contents; every forward op either fully
 // overwrites its output or Fill(0)s it first, so reuse cannot change bits.
@@ -130,8 +157,10 @@ const Tensor& InputValue(std::vector<TapeNode>& nodes, int id) {
 
 Tensor& GradSlot(std::vector<TapeNode>& nodes, int id) {
   TapeNode& n = nodes[static_cast<size_t>(id)];
-  if (n.grad.rows() != n.desc.rows || n.grad.cols() != n.desc.cols) {
+  if (!GradMaterialized(n)) {
     n.grad = TensorPool::Global().AcquireZeroed(n.desc.rows, n.desc.cols);
+    O2SR_PROFILE_OP("tape.grad_zero_fill", TensorBytes(n.grad),
+                    n.grad.size());
   }
   return n.grad;
 }
@@ -187,7 +216,7 @@ void ExecuteForward(std::vector<TapeNode>& nodes, int id) {
                  }
                  K.add(ins[0], ins[1], o, bi, ei);
                  for (size_t i = 2; i < ins.size(); ++i) {
-                   K.acc_add(o, ins[i], bi, ei);
+                   K.acc_add(o, ins[i], bi, ei, /*accumulate=*/true);
                  }
                });
       return;
@@ -349,7 +378,7 @@ void ExecuteForward(std::vector<TapeNode>& nodes, int id) {
       const Tensor& b = InputValue(nodes, d.inputs[1]);
       Tensor& out = EnsureOut(node);
       ProfileOp("tape.rowwise_dot", out, TensorBytes(a) + TensorBytes(b));
-      Dispatch(a.rows(), RowGrain(2 * a.cols()), "nn.rowwise_dot",
+      Dispatch(a.rows(), RowGrainElems(a.cols()), "nn.rowwise_dot",
                [&](int64_t rb, int64_t re) {
                  kernels::RowwiseDotForward(a.data(), b.data(), out.data(),
                                             rb, re, a.cols());
@@ -445,8 +474,10 @@ void ExecuteForward(std::vector<TapeNode>& nodes, int id) {
 void ExecuteBackward(std::vector<TapeNode>& nodes, int id) {
   TapeNode& node = nodes[static_cast<size_t>(id)];
   const OpDesc& d = node.desc;
+  if (d.kind == OpKind::kInput) return;  // no gradient leaves the tape
   const kernels::KernelTable& K = kernels::Active();
   const Tensor& g = GradSlot(nodes, id);
+  const int64_t size = static_cast<int64_t>(g.size());
   switch (d.kind) {
     case OpKind::kInput:
       return;
@@ -459,172 +490,182 @@ void ExecuteBackward(std::vector<TapeNode>& nodes, int id) {
       // once per element), without materializing the temps.
       const Tensor& a = InputValue(nodes, d.inputs[0]);
       const Tensor& b = InputValue(nodes, d.inputs[1]);
-      Tensor& ga = GradSlot(nodes, d.inputs[0]);
-      Tensor& gb = GradSlot(nodes, d.inputs[1]);
+      const GradOut ga = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gb = WriteGrad(nodes, d.inputs[1]);
       const int m = a.rows(), k = a.cols(), n = b.cols();
       ProfileOp("tape.matmul_bwd", g, TensorBytes(a) + TensorBytes(b));
       Dispatch(m, RowGrain(int64_t{2} * n * k), "nn.matmul_tb",
                [&](int64_t rb, int64_t re) {
-                 K.matmul_tb_rows(g.data(), b.data(), ga.data(), rb, re,
-                                  /*k=*/n, /*n=*/k, /*accumulate=*/true);
+                 K.matmul_tb_rows(g.data(), b.data(), ga.data, rb, re,
+                                  /*k=*/n, /*n=*/k, ga.accumulate);
                });
       Dispatch(k, RowGrain(int64_t{2} * m * n), "nn.matmul_ta",
                [&](int64_t rb, int64_t re) {
-                 K.matmul_ta_rows(a.data(), g.data(), gb.data(), rb, re,
-                                  /*m=*/k, /*k=*/m, /*n=*/n,
-                                  /*accumulate=*/true);
+                 K.matmul_ta_rows(a.data(), g.data(), gb.data, rb, re,
+                                  /*m=*/k, /*k=*/m, /*n=*/n, gb.accumulate);
                });
       return;
     }
     case OpKind::kAdd: {
-      Tensor& ga = GradSlot(nodes, d.inputs[0]);
-      Tensor& gb = GradSlot(nodes, d.inputs[1]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_add",
+      const GradOut ga = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gb = WriteGrad(nodes, d.inputs[1]);
+      Dispatch(size, kElementGrain, "nn.acc_add",
                [&](int64_t bi, int64_t ei) {
-                 K.acc_add(ga.data(), g.data(), bi, ei);
-                 K.acc_add(gb.data(), g.data(), bi, ei);
+                 K.acc_add(ga.data, g.data(), bi, ei, ga.accumulate);
+                 K.acc_add(gb.data, g.data(), bi, ei, gb.accumulate);
                });
       return;
     }
     case OpKind::kAddN: {
-      std::vector<float*> gs;
+      std::vector<GradOut> gs;
       gs.reserve(d.inputs.size());
-      for (int in : d.inputs) gs.push_back(GradSlot(nodes, in).data());
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_add",
+      for (int in : d.inputs) gs.push_back(WriteGrad(nodes, in));
+      Dispatch(size, kElementGrain, "nn.acc_add",
                [&](int64_t bi, int64_t ei) {
-                 for (float* gi : gs) K.acc_add(gi, g.data(), bi, ei);
+                 for (const GradOut& gi : gs) {
+                   K.acc_add(gi.data, g.data(), bi, ei, gi.accumulate);
+                 }
                });
       return;
     }
     case OpKind::kSub: {
-      Tensor& ga = GradSlot(nodes, d.inputs[0]);
-      Tensor& gb = GradSlot(nodes, d.inputs[1]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_add",
+      const GradOut ga = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gb = WriteGrad(nodes, d.inputs[1]);
+      Dispatch(size, kElementGrain, "nn.acc_add",
                [&](int64_t bi, int64_t ei) {
-                 K.acc_add(ga.data(), g.data(), bi, ei);
-                 K.acc_sub(gb.data(), g.data(), bi, ei);
+                 K.acc_add(ga.data, g.data(), bi, ei, ga.accumulate);
+                 K.acc_sub(gb.data, g.data(), bi, ei, gb.accumulate);
                });
       return;
     }
     case OpKind::kMul: {
       const Tensor& a = InputValue(nodes, d.inputs[0]);
       const Tensor& b = InputValue(nodes, d.inputs[1]);
-      Tensor& ga = GradSlot(nodes, d.inputs[0]);
-      Tensor& gb = GradSlot(nodes, d.inputs[1]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_mul",
+      const GradOut ga = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gb = WriteGrad(nodes, d.inputs[1]);
+      Dispatch(size, kElementGrain, "nn.acc_mul",
                [&](int64_t bi, int64_t ei) {
-                 K.acc_mul(ga.data(), g.data(), b.data(), bi, ei);
-                 K.acc_mul(gb.data(), g.data(), a.data(), bi, ei);
+                 K.acc_mul(ga.data, g.data(), b.data(), bi, ei,
+                           ga.accumulate);
+                 K.acc_mul(gb.data, g.data(), a.data(), bi, ei,
+                           gb.accumulate);
                });
       return;
     }
     case OpKind::kScale: {
-      Tensor& ga = GradSlot(nodes, d.inputs[0]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_scale",
+      const GradOut ga = WriteGrad(nodes, d.inputs[0]);
+      Dispatch(size, kElementGrain, "nn.acc_scale",
                [&](int64_t bi, int64_t ei) {
-                 K.acc_scale(ga.data(), g.data(), d.alpha, bi, ei);
+                 K.acc_scale(ga.data, g.data(), d.alpha, bi, ei,
+                             ga.accumulate);
                });
       return;
     }
     case OpKind::kAddRowBroadcast: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Tensor& gb = GradSlot(nodes, d.inputs[1]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_add",
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gb = WriteGrad(nodes, d.inputs[1]);
+      Dispatch(size, kElementGrain, "nn.acc_add",
                [&](int64_t bi, int64_t ei) {
-                 K.acc_add(gx.data(), g.data(), bi, ei);
+                 K.acc_add(gx.data, g.data(), bi, ei, gx.accumulate);
                });
       // Bias gradient sums rows in order (the accumulation order pins the
       // result); runs unchunked.
-      kernels::ColSumAcc(g.data(), gb.data(), g.rows(), g.cols());
+      kernels::ColSumAcc(g.data(), gb.data, g.rows(), g.cols(),
+                         gb.accumulate);
       return;
     }
     case OpKind::kMulColBroadcast: {
       const Tensor& x = InputValue(nodes, d.inputs[0]);
       const Tensor& c = InputValue(nodes, d.inputs[1]);
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Tensor& gc = GradSlot(nodes, d.inputs[1]);
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gc = WriteGrad(nodes, d.inputs[1]);
       Dispatch(g.rows(), RowGrainElems(g.cols()), "nn.acc_mul_col_bwd_x",
                [&](int64_t rb, int64_t re) {
-                 K.acc_mul_col_bwd_x(g.data(), c.data(), gx.data(), rb, re,
-                                     g.cols());
+                 K.acc_mul_col_bwd_x(g.data(), c.data(), gx.data, rb, re,
+                                     g.cols(), gx.accumulate);
                });
-      Dispatch(g.rows(), RowGrain(2 * g.cols()), "nn.mul_col_bwd_col",
+      Dispatch(g.rows(), RowGrainElems(g.cols()), "nn.mul_col_bwd_col",
                [&](int64_t rb, int64_t re) {
-                 kernels::MulColBwdColAcc(g.data(), x.data(), gc.data(), rb,
-                                          re, g.cols());
+                 kernels::MulColBwdColAcc(g.data(), x.data(), gc.data, rb,
+                                          re, g.cols(), gc.accumulate);
                });
       return;
     }
     case OpKind::kRelu: {
       const Tensor& x = InputValue(nodes, d.inputs[0]);
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain,
-               "nn.acc_relu_bwd", [&](int64_t bi, int64_t ei) {
-                 K.acc_relu_bwd(x.data(), g.data(), gx.data(), bi, ei);
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      Dispatch(size, kElementGrain, "nn.acc_relu_bwd",
+               [&](int64_t bi, int64_t ei) {
+                 K.acc_relu_bwd(x.data(), g.data(), gx.data, bi, ei,
+                                gx.accumulate);
                });
       return;
     }
     case OpKind::kLeakyRelu: {
       const Tensor& x = InputValue(nodes, d.inputs[0]);
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain,
-               "nn.acc_leaky_bwd", [&](int64_t bi, int64_t ei) {
-                 K.acc_leaky_bwd(x.data(), d.alpha, g.data(), gx.data(), bi,
-                                 ei);
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      Dispatch(size, kElementGrain, "nn.acc_leaky_bwd",
+               [&](int64_t bi, int64_t ei) {
+                 K.acc_leaky_bwd(x.data(), d.alpha, g.data(), gx.data, bi,
+                                 ei, gx.accumulate);
                });
       return;
     }
     case OpKind::kSigmoid: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain,
-               "nn.acc_sigmoid_bwd", [&](int64_t bi, int64_t ei) {
-                 K.acc_sigmoid_bwd(node.value.data(), g.data(), gx.data(),
-                                   bi, ei);
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      Dispatch(size, kElementGrain, "nn.acc_sigmoid_bwd",
+               [&](int64_t bi, int64_t ei) {
+                 K.acc_sigmoid_bwd(node.value.data(), g.data(), gx.data, bi,
+                                   ei, gx.accumulate);
                });
       return;
     }
     case OpKind::kTanh: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain,
-               "nn.acc_tanh_bwd", [&](int64_t bi, int64_t ei) {
-                 K.acc_tanh_bwd(node.value.data(), g.data(), gx.data(), bi,
-                                ei);
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      Dispatch(size, kElementGrain, "nn.acc_tanh_bwd",
+               [&](int64_t bi, int64_t ei) {
+                 K.acc_tanh_bwd(node.value.data(), g.data(), gx.data, bi, ei,
+                                gx.accumulate);
                });
       return;
     }
     case OpKind::kSoftmaxRows: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      Dispatch(g.rows(), RowGrain(2 * g.cols()), "nn.softmax_rows_bwd",
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      Dispatch(g.rows(), RowGrainElems(g.cols()), "nn.softmax_rows_bwd",
                [&](int64_t rb, int64_t re) {
                  kernels::SoftmaxRowsBackward(node.value.data(), g.data(),
-                                              gx.data(), rb, re, g.cols());
+                                              gx.data, rb, re, g.cols(),
+                                              gx.accumulate);
                });
       return;
     }
     case OpKind::kConcatCols: {
-      int offset = 0;
+      std::vector<kernels::ConcatGrad> gs;
+      gs.reserve(d.inputs.size());
       for (int in : d.inputs) {
-        Tensor& gi = GradSlot(nodes, in);
-        const int w = gi.cols(), total = g.cols(), off = offset;
-        Dispatch(g.rows(), RowGrainElems(w), "nn.acc_add",
-                 [&](int64_t rb, int64_t re) {
-                   for (int64_t r = rb; r < re; ++r) {
-                     K.acc_add(gi.data() + r * w, g.data() + r * total + off,
-                               0, w);
-                   }
-                 });
-        offset += w;
+        const GradOut gi = WriteGrad(nodes, in);
+        gs.push_back({gi.data, nodes[static_cast<size_t>(in)].desc.cols,
+                      gi.accumulate});
       }
+      Dispatch(g.rows(), RowGrainElems(g.cols()), "nn.concat_cols_bwd",
+               [&](int64_t rb, int64_t re) {
+                 kernels::ConcatColsBackward(g.data(), gs.data(),
+                                             static_cast<int>(gs.size()), rb,
+                                             re);
+               });
       return;
     }
     case OpKind::kSliceCols: {
+      // A partial writer: columns outside the slice keep what the slot
+      // holds, so an unwritten slot is zero-filled first.
       Tensor& gx = GradSlot(nodes, d.inputs[0]);
       const int xc = gx.cols(), count = g.cols(), start = d.slice_start;
       Dispatch(g.rows(), RowGrainElems(count), "nn.acc_add",
                [&](int64_t rb, int64_t re) {
                  for (int64_t r = rb; r < re; ++r) {
-                   K.acc_add(gx.data() + r * xc + start,
-                             g.data() + r * count, 0, count);
+                   float* dst = gx.data() + r * xc + start;
+                   const float* src = g.data() + r * count;
+                   for (int c = 0; c < count; ++c) dst[c] += src[c];
                  }
                });
       return;
@@ -632,99 +673,104 @@ void ExecuteBackward(std::vector<TapeNode>& nodes, int id) {
     case OpKind::kRowwiseDot: {
       const Tensor& a = InputValue(nodes, d.inputs[0]);
       const Tensor& b = InputValue(nodes, d.inputs[1]);
-      Tensor& ga = GradSlot(nodes, d.inputs[0]);
-      Tensor& gb = GradSlot(nodes, d.inputs[1]);
+      const GradOut ga = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gb = WriteGrad(nodes, d.inputs[1]);
       Dispatch(a.rows(), RowGrainElems(a.cols()), "nn.acc_rowwise_dot_bwd",
                [&](int64_t rb, int64_t re) {
-                 K.acc_rowwise_dot_bwd(g.data(), a.data(), b.data(),
-                                       ga.data(), gb.data(), rb, re,
-                                       a.cols());
+                 K.acc_rowwise_dot_bwd(g.data(), a.data(), b.data(), ga.data,
+                                       gb.data, rb, re, a.cols(),
+                                       ga.accumulate, gb.accumulate);
                });
       return;
     }
     case OpKind::kDropout: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
       const Tensor& mask = *d.mask;
-      Dispatch(static_cast<int64_t>(g.size()), kElementGrain, "nn.acc_mul",
+      Dispatch(size, kElementGrain, "nn.acc_mul",
                [&](int64_t bi, int64_t ei) {
-                 K.acc_mul(gx.data(), g.data(), mask.data(), bi, ei);
+                 K.acc_mul(gx.data, g.data(), mask.data(), bi, ei,
+                           gx.accumulate);
                });
       return;
     }
     case OpKind::kGatherRows: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
       // Scatter-add with possibly duplicate indices: e-order is the
-      // contract, runs unchunked.
+      // contract, runs unchunked. A partial writer (rows no index names
+      // keep what the slot holds), so an unwritten slot is zero-filled.
+      Tensor& gx = GradSlot(nodes, d.inputs[0]);
       kernels::GatherRowsBackward(g.data(), d.index->data(),
                                   static_cast<int64_t>(d.index->size()),
                                   gx.data(), gx.cols());
       return;
     }
     case OpKind::kSegmentSoftmax: {
-      Tensor& gs = GradSlot(nodes, d.inputs[0]);
+      const GradOut gs = WriteGrad(nodes, d.inputs[0]);
       kernels::SegmentSoftmaxBackward(node.value.data(), g.data(),
                                       d.index->data(), node.value.rows(),
-                                      d.num_segments, gs.data());
+                                      d.num_segments, gs.data,
+                                      gs.accumulate);
       return;
     }
     case OpKind::kSegmentSum: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      const int cols = gx.cols();
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      const int cols = d.cols;
       const int* seg = d.index->data();
-      Dispatch(gx.rows(), RowGrainElems(cols), "nn.segment_sum_bwd",
-               [&](int64_t eb, int64_t ee) {
+      Dispatch(static_cast<int64_t>(d.index->size()), RowGrainElems(cols),
+               "nn.segment_sum_bwd", [&](int64_t eb, int64_t ee) {
                  kernels::SegmentSumBackward(g.data(), seg + eb, ee - eb,
-                                             gx.data() + eb * cols, cols);
+                                             gx.data + eb * cols, cols,
+                                             gx.accumulate);
                });
       return;
     }
     case OpKind::kSegmentMean: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      const int cols = gx.cols();
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      const int cols = d.cols;
       const int* seg = d.index->data();
       const int* counts = d.counts->data();
-      Dispatch(gx.rows(), RowGrainElems(cols), "nn.segment_mean_bwd",
-               [&](int64_t eb, int64_t ee) {
+      Dispatch(static_cast<int64_t>(d.index->size()), RowGrainElems(cols),
+               "nn.segment_mean_bwd", [&](int64_t eb, int64_t ee) {
                  kernels::SegmentMeanBackward(g.data(), seg + eb, counts,
-                                              ee - eb, gx.data() + eb * cols,
-                                              cols);
+                                              ee - eb, gx.data + eb * cols,
+                                              cols, gx.accumulate);
                });
       return;
     }
     case OpKind::kMeanAll: {
-      Tensor& gx = GradSlot(nodes, d.inputs[0]);
-      const float gv = g.at(0, 0) / static_cast<float>(gx.size());
-      Dispatch(static_cast<int64_t>(gx.size()), kElementGrain,
-               "nn.acc_const", [&](int64_t bi, int64_t ei) {
-                 K.acc_const(gx.data(), gv, bi, ei);
-               });
+      const OpDesc& dx = nodes[static_cast<size_t>(d.inputs[0])].desc;
+      const int64_t n = static_cast<int64_t>(dx.rows) * dx.cols;
+      const GradOut gx = WriteGrad(nodes, d.inputs[0]);
+      const float gv = g.at(0, 0) / static_cast<float>(n);
+      Dispatch(n, kElementGrain, "nn.acc_const", [&](int64_t bi, int64_t ei) {
+        K.acc_const(gx.data, gv, bi, ei, gx.accumulate);
+      });
       return;
     }
     case OpKind::kMseLoss: {
       const Tensor& p = InputValue(nodes, d.inputs[0]);
       const Tensor& t = InputValue(nodes, d.inputs[1]);
-      Tensor& gp = GradSlot(nodes, d.inputs[0]);
-      Tensor& gt = GradSlot(nodes, d.inputs[1]);
+      const GradOut gp = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gt = WriteGrad(nodes, d.inputs[1]);
       const float scale = 2.0f * g.at(0, 0) / static_cast<float>(p.size());
       Dispatch(static_cast<int64_t>(p.size()), kElementGrain, "nn.mse_bwd",
                [&](int64_t bi, int64_t ei) {
                  kernels::MseBackward(p.data() + bi, t.data() + bi, scale,
-                                      gp.data() + bi, gt.data() + bi,
-                                      ei - bi);
+                                      gp.data + bi, gt.data + bi, ei - bi,
+                                      gp.accumulate, gt.accumulate);
                });
       return;
     }
     case OpKind::kMaeLoss: {
       const Tensor& p = InputValue(nodes, d.inputs[0]);
       const Tensor& t = InputValue(nodes, d.inputs[1]);
-      Tensor& gp = GradSlot(nodes, d.inputs[0]);
-      Tensor& gt = GradSlot(nodes, d.inputs[1]);
+      const GradOut gp = WriteGrad(nodes, d.inputs[0]);
+      const GradOut gt = WriteGrad(nodes, d.inputs[1]);
       const float scale = g.at(0, 0) / static_cast<float>(p.size());
       Dispatch(static_cast<int64_t>(p.size()), kElementGrain, "nn.mae_bwd",
                [&](int64_t bi, int64_t ei) {
                  kernels::MaeBackward(p.data() + bi, t.data() + bi, scale,
-                                      gp.data() + bi, gt.data() + bi,
-                                      ei - bi);
+                                      gp.data + bi, gt.data + bi, ei - bi,
+                                      gp.accumulate, gt.accumulate);
                });
       return;
     }
@@ -796,32 +842,34 @@ void FusedLinearBackward(std::vector<TapeNode>& nodes, int matmul_id,
     const Tensor& g = GradSlot(nodes, act_id);
     const Tensor& y = act.value;
     const int pre_id = bias_id >= 0 ? bias_id : matmul_id;
-    Tensor& gpre = GradSlot(nodes, pre_id);
+    const GradOut gpre = WriteGrad(nodes, pre_id);
+    const bool acc = gpre.accumulate;
     const int64_t sz = static_cast<int64_t>(g.size());
     switch (act.desc.kind) {
       case OpKind::kRelu:
         Dispatch(sz, kElementGrain, "nn.acc_relu_bwd",
                  [&](int64_t bi, int64_t ei) {
-                   K.acc_relu_bwd(y.data(), g.data(), gpre.data(), bi, ei);
+                   K.acc_relu_bwd(y.data(), g.data(), gpre.data, bi, ei, acc);
                  });
         break;
       case OpKind::kLeakyRelu:
         Dispatch(sz, kElementGrain, "nn.acc_leaky_bwd",
                  [&](int64_t bi, int64_t ei) {
                    K.acc_leaky_bwd(y.data(), act.desc.alpha, g.data(),
-                                   gpre.data(), bi, ei);
+                                   gpre.data, bi, ei, acc);
                  });
         break;
       case OpKind::kSigmoid:
         Dispatch(sz, kElementGrain, "nn.acc_sigmoid_bwd",
                  [&](int64_t bi, int64_t ei) {
-                   K.acc_sigmoid_bwd(y.data(), g.data(), gpre.data(), bi, ei);
+                   K.acc_sigmoid_bwd(y.data(), g.data(), gpre.data, bi, ei,
+                                     acc);
                  });
         break;
       case OpKind::kTanh:
         Dispatch(sz, kElementGrain, "nn.acc_tanh_bwd",
                  [&](int64_t bi, int64_t ei) {
-                   K.acc_tanh_bwd(y.data(), g.data(), gpre.data(), bi, ei);
+                   K.acc_tanh_bwd(y.data(), g.data(), gpre.data, bi, ei, acc);
                  });
         break;
       default:
@@ -832,14 +880,15 @@ void FusedLinearBackward(std::vector<TapeNode>& nodes, int matmul_id,
     // AddRowBroadcast backward: forward the row grad to the matmul node
     // (the reference's gx += g), then column-sum into the bias leaf.
     TapeNode& bias = nodes[static_cast<size_t>(bias_id)];
-    Tensor& g2 = GradSlot(nodes, bias_id);
-    Tensor& g1 = GradSlot(nodes, matmul_id);
+    const Tensor& g2 = GradSlot(nodes, bias_id);
+    const GradOut g1 = WriteGrad(nodes, matmul_id);
     Dispatch(static_cast<int64_t>(g2.size()), kElementGrain, "nn.acc_add",
              [&](int64_t bi, int64_t ei) {
-               K.acc_add(g1.data(), g2.data(), bi, ei);
+               K.acc_add(g1.data, g2.data(), bi, ei, g1.accumulate);
              });
-    Tensor& gb = GradSlot(nodes, bias.desc.inputs[1]);
-    kernels::ColSumAcc(g2.data(), gb.data(), g2.rows(), g2.cols());
+    const GradOut gb = WriteGrad(nodes, bias.desc.inputs[1]);
+    kernels::ColSumAcc(g2.data(), gb.data, g2.rows(), g2.cols(),
+                       gb.accumulate);
   }
   // The matmul backward proper (reads the matmul node's own grad slot,
   // records tape.matmul_bwd like the generic path).

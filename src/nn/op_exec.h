@@ -11,7 +11,7 @@ namespace o2sr::nn {
 // One tape node: the op descriptor plus its (possibly lazily materialized)
 // value and gradient slots. The eager executor fills `value` at record time
 // and `grad` with zeros; the planned executor leaves both empty until a
-// flush materializes them (often from a plan's buffer arena).
+// flush or the backward pass materializes them from the TensorPool.
 struct TapeNode {
   OpDesc desc;
   Tensor value;
@@ -32,9 +32,12 @@ namespace detail {
 // hold their tensor.
 void ExecuteForward(std::vector<TapeNode>& nodes, int id);
 
-// Accumulates the gradients of nodes[id]'s inputs from nodes[id].grad
-// (materializing grad slots with zeros as needed). For kParam leaves the
-// gradient lands in Parameter::grad.
+// Accumulates the gradients of nodes[id]'s inputs from nodes[id].grad.
+// A contribution that covers a whole input slot no op has written yet is
+// its first write: it lands in a stale pooled buffer as 0.0f + v, the bits
+// a zeroed slot would hold after adding v (DESIGN.md §13). Partial writers
+// (the GatherRows scatter, SliceCols) materialize the slot with zeros
+// first. For kParam leaves the gradient lands in Parameter::grad.
 void ExecuteBackward(std::vector<TapeNode>& nodes, int id);
 
 // Input-value resolution with the planned-mode fallbacks: an empty kParam
@@ -43,7 +46,8 @@ void ExecuteBackward(std::vector<TapeNode>& nodes, int id);
 // recomputed once into its slot.
 const Tensor& InputValue(std::vector<TapeNode>& nodes, int id);
 
-// Gradient slot of a node, materialized with zeros when empty.
+// Gradient slot of a node for a reader or a partial writer, materialized
+// with zeros when no op has written it (profiled as tape.grad_zero_fill).
 Tensor& GradSlot(std::vector<TapeNode>& nodes, int id);
 
 // --- fused execution (plan fusion groups; see plan.h) ---
