@@ -366,9 +366,9 @@ echo "=== Tenants smoke: multi-threaded multi-tenant swap storm ==="
 # round-robin batched requests across four tenants while one tenant is
 # hot-swapped six times. Exit 0 asserts zero failed responses, every swap
 # promoted, bystander tenants untouched and per-shard counters summing to
-# the engine globals; the greps pin the summary fields so a silently
-# weakened drill cannot pass. The chaos recipe is latency-only (a scorer
-# stall on every call): it widens every race window the drill races
+# each tenant's registry counters; the greps pin the summary fields so a
+# silently weakened drill cannot pass. The chaos recipe is latency-only (a
+# scorer stall on every call): it widens every race window the drill races
 # through without making the exact-count asserts nondeterministic the
 # way error/bitflip recipes would.
 O2SR_SERVE_BATCH=8 \
@@ -567,16 +567,21 @@ cmake --build build-asan -j "${JOBS}" \
  ./tests/stream_test &&
  ./tests/plan_exec_test)
 
-echo "=== TSAN build + exec/stream/trainer/serving tests ==="
+echo "=== TSAN build + exec/plan/stream/trainer/serving tests ==="
+# plan_exec_test and golden_test run the planned executor, whose Sessions
+# carry nearly every region a training step dispatches.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DO2SR_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
-      --target exec_test stream_test parallel_determinism_test \
+      --target exec_test plan_exec_test golden_test \
+               stream_test parallel_determinism_test \
                fault_tolerance_test optimizer_test score_cache_stress_test \
                serving_resilience_test fault_injection_test \
                serve_batch_test serve_concurrent_test tenant_test
 (cd build-tsan &&
  O2SR_THREADS=4 ./tests/exec_test &&
+ O2SR_THREADS=4 ./tests/plan_exec_test &&
+ O2SR_THREADS=4 ./tests/golden_test &&
  O2SR_THREADS=4 ./tests/stream_test &&
  O2SR_THREADS=4 ./tests/parallel_determinism_test &&
  O2SR_THREADS=4 ./tests/fault_tolerance_test &&

@@ -30,8 +30,8 @@
 // tenant repeatedly. It exits 0 only when every response succeeded, every
 // swap promoted, the victim's epoch advanced by exactly the number of
 // swaps while the bystanders stayed at epoch 1, and each engine's
-// per-shard counters sum to its globals; the summary line is
-// machine-checked by ci.sh.
+// per-shard counters sum to the registry counters under its tenant's
+// metrics prefix; the summary line is machine-checked by ci.sh.
 
 #include <atomic>
 #include <chrono>
@@ -49,6 +49,7 @@
 #include "core/o2siterec_recommender.h"
 #include "eval/experiment.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
 #include "serve/tenant.h"
@@ -363,22 +364,22 @@ int Chaos(const std::string& snapshot_path) {
   return ok ? 0 : 1;
 }
 
-// True when the engine's per-shard counter blocks sum to its global
-// relaxed counters — the invariant every concurrent test holds the
-// sharded front end to.
-bool ShardSumsMatch(const serve::ServingEngine& engine) {
-  uint64_t requests = 0, shed = 0, pairs = 0, degraded = 0;
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    const serve::EngineShardStats stats = engine.ShardStats(s);
-    requests += stats.requests;
-    shed += stats.shed;
-    pairs += stats.pairs_scored;
-    degraded += stats.degraded_responses;
-  }
-  return requests == engine.requests_count() &&
-         shed == engine.shed_count() &&
-         pairs == engine.pairs_scored_count() &&
-         degraded == engine.degraded_count();
+// True when the engine's per-shard counter blocks sum to the registry
+// counters under its tenant's metrics prefix — the invariant every
+// concurrent test holds the sharded front end to. Each tenant has a prefix
+// of its own and swaps happen inside its engine, so those counters count
+// exactly this engine's events.
+bool ShardSumsMatch(const std::string& tenant,
+                    const serve::ServingEngine& engine) {
+  const serve::EngineShardStats total = engine.TotalShardStats();
+  const std::string prefix = serve::TenantRegistry::MetricsPrefixFor(tenant);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  return total.requests == metrics.GetCounter(prefix + ".requests")->value() &&
+         total.shed == metrics.GetCounter(prefix + ".shed")->value() &&
+         total.pairs_scored ==
+             metrics.GetCounter(prefix + ".pairs_scored")->value() &&
+         total.degraded_responses ==
+             metrics.GetCounter(prefix + ".degraded_responses")->value();
 }
 
 int Tenants(const std::string& snapshot_path) {
@@ -481,13 +482,14 @@ int Tenants(const std::string& snapshot_path) {
   int shard_sums_ok = 1;
   int healthy = 1;
   for (int i = 0; i < kTenants; ++i) {
-    const auto tenant = registry.Get("city" + std::to_string(i)).value();
+    const std::string name = "city" + std::to_string(i);
+    const auto tenant = registry.Get(name).value();
     if (i == 0) {
       victim_epoch = static_cast<int>(tenant->engine->epoch());
     } else if (tenant->engine->epoch() != 1) {
       bystanders_clean = 0;
     }
-    if (!ShardSumsMatch(*tenant->engine)) shard_sums_ok = 0;
+    if (!ShardSumsMatch(name, *tenant->engine)) shard_sums_ok = 0;
     if (tenant->engine->health() != serve::ServeHealth::kServing) {
       healthy = 0;
     }

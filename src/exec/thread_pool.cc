@@ -1,7 +1,6 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 
 #include "common/check.h"
@@ -15,14 +14,11 @@ namespace o2sr::exec {
 
 namespace {
 
-// Pool whose worker the current thread is (nullptr on non-worker threads).
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-// Pool whose dispatched region this (caller) thread is currently executing
-// chunks of. A nested region issued from inside a chunk body must run
-// inline — re-entering RunChunks would overwrite the active region state
-// under the workers. InWorker() covers worker threads; this covers the
-// calling thread, which participates in every region.
-thread_local const ThreadPool* tls_region_caller_pool = nullptr;
+// Pool whose chunks this thread is running: set for a worker's whole life
+// and around the owner's own share of a dispatched region. A region issued
+// under it on the same pool is nested and runs inline; re-entering the task
+// slot would overwrite the open task under the workers.
+thread_local const ThreadPool* tls_chunk_pool = nullptr;
 // Innermost PoolScope override for the current thread.
 thread_local ThreadPool* tls_current_pool = nullptr;
 
@@ -67,7 +63,16 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
-bool ThreadPool::InWorker() const { return tls_worker_pool == this; }
+bool ThreadPool::TryClaim() {
+  std::thread::id none;
+  return owner_.compare_exchange_strong(none, std::this_thread::get_id(),
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed);
+}
+
+void ThreadPool::Release() {
+  owner_.store(std::thread::id(), std::memory_order_release);
+}
 
 void ThreadPool::RunInline(int64_t n, int64_t grain,
                            const std::function<void(int64_t, int64_t)>& fn) {
@@ -82,22 +87,12 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
                            const char* profile_name) {
   if (n <= 0) return;
   if (grain < 1) grain = 1;
-
-  // Regions issued by the owning thread of an open Session skip the
-  // mutex/condvar handshake and publish through the session's lock-free
-  // task slot. Identical chunking, so identical results.
-  if (session_active_.load(std::memory_order_acquire) &&
-      session_owner_ == std::this_thread::get_id() && !InWorker() &&
-      tls_region_caller_pool != this) {
-    SessionRunChunks(n, grain, fn, trace_name, profile_name);
-    return;
-  }
-
   const int64_t chunks = NumChunks(n, grain);
 
   // The profiler names a region by its trace name when it has one, else by
   // the kernel's profile name.
   const char* region_name = trace_name != nullptr ? trace_name : profile_name;
+  obs::Profiler& profiler = obs::Profiler::Global();
 
   // A span only for named (coarse) regions; fine-grained kernel regions
   // pass nullptr to stay off the trace recorder's hot path.
@@ -106,12 +101,18 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
     span = std::make_unique<obs::ScopedTrace>(trace_name);
   }
 
-  // Single-lane pools, single-chunk regions, and regions issued from one of
-  // our own workers (nested parallelism) run inline with the identical
+  // The workers take the region when this thread owns the pool: through
+  // its open Session, or through a claim taken for this region alone.
+  // Single-lane pools, single-chunk regions, nested regions and regions
+  // that find another thread owning the pool run inline with the identical
   // chunking.
-  if (workers_.empty() || chunks <= 1 || InWorker() ||
-      tls_region_caller_pool == this) {
-    obs::Profiler& profiler = obs::Profiler::Global();
+  bool dispatch = !workers_.empty() && chunks > 1 && tls_chunk_pool != this;
+  bool claimed = false;
+  if (dispatch &&
+      owner_.load(std::memory_order_relaxed) != std::this_thread::get_id()) {
+    dispatch = claimed = TryClaim();
+  }
+  if (!dispatch) {
     if (profiler.enabled()) {
       profiler.RecordInlineRegion(region_name, n, chunks);
     }
@@ -120,167 +121,56 @@ void ThreadPool::RunChunks(int64_t n, int64_t grain,
   }
 
   const int64_t start_us = common::NowMicros();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    region_fn_ = &fn;
-    region_n_ = n;
-    region_grain_ = grain;
-    region_chunks_ = chunks;
-    next_chunk_.store(0, std::memory_order_relaxed);
-    pending_chunks_.store(chunks, std::memory_order_relaxed);
-    std::fill(lane_busy_us_.begin(), lane_busy_us_.end(), 0);
-    ++region_epoch_;
-  }
-  work_cv_.notify_all();
-
-  {
-    const ThreadPool* previous = tls_region_caller_pool;
-    tls_region_caller_pool = this;
-    const int64_t caller_busy = WorkChunks(fn, n, grain, chunks);
-    tls_region_caller_pool = previous;
-    lane_busy_us_[0] = caller_busy;
-  }
-
-  {
-    // Wait until every chunk ran AND every worker left the region: a
-    // straggler that woke late must not observe the next region's cursor
-    // with this region's function pointer.
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] {
-      return pending_chunks_.load(std::memory_order_acquire) == 0 &&
-             active_workers_ == 0;
-    });
-    region_fn_ = nullptr;
-  }
-  const int64_t wall_us =
-      std::max<int64_t>(1, common::NowMicros() - start_us);
-  // The completion handshake above ordered every worker's lane write before
-  // this read.
-  obs::Profiler& profiler = obs::Profiler::Global();
-  if (profiler.enabled()) {
-    profiler.RecordDispatchedRegion(region_name, n, chunks, wall_us,
-                                    lane_busy_us_.data(), num_threads_);
-  }
-}
-
-void ThreadPool::SessionRunChunks(
-    int64_t n, int64_t grain, const std::function<void(int64_t, int64_t)>& fn,
-    const char* trace_name, const char* profile_name) {
-  const int64_t chunks = NumChunks(n, grain);
-  const char* region_name = trace_name != nullptr ? trace_name : profile_name;
-  if (chunks <= 1) {
-    obs::Profiler& profiler = obs::Profiler::Global();
-    if (profiler.enabled()) {
-      profiler.RecordInlineRegion(region_name, n, chunks);
-    }
-    RunInline(n, grain, fn);
-    return;
-  }
-
-  const int64_t start_us = common::NowMicros();
-  // Publish the task. Stragglers from the previous task were drained by its
-  // completion wait, so the plain/relaxed state writes below cannot race
-  // with a worker snapshot: any worker that reads them while we write also
-  // fails its seq recheck and discards the snapshot.
+  // Write the task, then open it. The previous task's joiners drained
+  // before it returned, so no worker reads these fields while they change
+  // except one that also fails its task_seq_ recheck.
   next_chunk_.store(0, std::memory_order_relaxed);
-  pending_chunks_.store(chunks, std::memory_order_relaxed);
   std::fill(lane_busy_us_.begin(), lane_busy_us_.end(), 0);
-  session_n_.store(n, std::memory_order_relaxed);
-  session_grain_.store(grain, std::memory_order_relaxed);
-  session_chunks_.store(chunks, std::memory_order_relaxed);
-  session_fn_.store(&fn, std::memory_order_relaxed);
-  // Open bump: odd seq values mark an open task.
-  session_seq_.fetch_add(1, std::memory_order_seq_cst);
+  task_n_.store(n, std::memory_order_relaxed);
+  task_grain_.store(grain, std::memory_order_relaxed);
+  task_chunks_.store(chunks, std::memory_order_relaxed);
+  task_fn_.store(&fn, std::memory_order_relaxed);
+  if (claimed) {
+    // Outside a Session the idle workers sleep: open the task under the
+    // mutex their wait predicate reads, then wake them.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      task_seq_.fetch_add(1, std::memory_order_seq_cst);
+    }
+    work_cv_.notify_all();
+  } else {
+    task_seq_.fetch_add(1, std::memory_order_seq_cst);
+  }
 
   {
-    const ThreadPool* previous = tls_region_caller_pool;
-    tls_region_caller_pool = this;
-    const int64_t caller_busy = WorkChunks(fn, n, grain, chunks);
-    tls_region_caller_pool = previous;
-    lane_busy_us_[0] = caller_busy;
+    const ThreadPool* previous = tls_chunk_pool;
+    tls_chunk_pool = this;
+    lane_busy_us_[0] = WorkChunks(fn, n, grain, chunks);
+    tls_chunk_pool = previous;
   }
-  // Wait until every chunk ran, close the task, then drain stragglers: a
-  // worker that joined before the close bump claims nothing (the cursor is
-  // exhausted) but must leave before the next task may reset the cursor.
-  while (pending_chunks_.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
+  // Every chunk has been claimed. Close the task, then wait for the workers
+  // that joined it: they hold the chunks still running, and a late joiner
+  // must leave before the next task resets the cursor. A Session's regions
+  // drain within microseconds, so its owner spins; a claimed region's chunk
+  // may be a whole training run (bench seed replication), so its owner
+  // sleeps until the last joiner leaves.
+  task_seq_.fetch_add(1, std::memory_order_seq_cst);
+  for (int joined; (joined = joined_.load(std::memory_order_seq_cst)) != 0;) {
+    if (claimed) {
+      joined_.wait(joined, std::memory_order_seq_cst);
+    } else {
+      std::this_thread::yield();
+    }
   }
-  session_seq_.fetch_add(1, std::memory_order_seq_cst);
-  while (session_workers_.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-  session_fn_.store(nullptr, std::memory_order_relaxed);
 
-  const int64_t wall_us =
-      std::max<int64_t>(1, common::NowMicros() - start_us);
-  obs::Profiler& profiler = obs::Profiler::Global();
+  // The drain ordered every worker's lane write before this read.
   if (profiler.enabled()) {
+    const int64_t wall_us =
+        std::max<int64_t>(1, common::NowMicros() - start_us);
     profiler.RecordDispatchedRegion(region_name, n, chunks, wall_us,
                                     lane_busy_us_.data(), num_threads_);
   }
-}
-
-void ThreadPool::SessionWorkerLoop(int lane) {
-  uint64_t seen = session_seq_.load(std::memory_order_acquire);
-  if ((seen & 1) != 0) --seen;  // a task already open: join it below
-  while (session_active_.load(std::memory_order_acquire)) {
-    const uint64_t seq = session_seq_.load(std::memory_order_acquire);
-    if (seq == seen || (seq & 1) == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    // Seqlock snapshot of the open task.
-    const std::function<void(int64_t, int64_t)>* fn =
-        session_fn_.load(std::memory_order_acquire);
-    const int64_t n = session_n_.load(std::memory_order_relaxed);
-    const int64_t grain = session_grain_.load(std::memory_order_relaxed);
-    const int64_t chunks = session_chunks_.load(std::memory_order_relaxed);
-    if (session_seq_.load(std::memory_order_acquire) != seq ||
-        fn == nullptr) {
-      continue;
-    }
-    // Join the task; the recheck after the increment pairs with the owner's
-    // close-bump + drain so a late joiner can never overlap the next task's
-    // cursor reset.
-    session_workers_.fetch_add(1, std::memory_order_seq_cst);
-    if (session_seq_.load(std::memory_order_seq_cst) != seq) {
-      session_workers_.fetch_sub(1, std::memory_order_seq_cst);
-      continue;
-    }
-    seen = seq;
-    const int64_t busy = WorkChunks(*fn, n, grain, chunks);
-    lane_busy_us_[static_cast<size_t>(lane)] += busy;
-    session_workers_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-}
-
-Session::Session(ThreadPool& pool, const char* trace_name) : pool_(pool) {
-  if (trace_name != nullptr) {
-    span_ = new obs::ScopedTrace(trace_name);
-  }
-  if (pool.workers_.empty() || pool.InWorker() ||
-      tls_region_caller_pool == &pool) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(pool.mutex_);
-  if (pool.session_active_.load(std::memory_order_relaxed)) return;
-  pool.session_owner_ = std::this_thread::get_id();
-  pool.session_fn_.store(nullptr, std::memory_order_relaxed);
-  // session_workers_ is deliberately not reset: a straggler of the previous
-  // session may sit between its join increment and its leave decrement, and
-  // zeroing the count under it would leave it at -1 once it leaves.
-  pool.session_active_.store(true, std::memory_order_release);
-  engaged_ = true;
-  pool.work_cv_.notify_all();
-}
-
-Session::~Session() {
-  if (engaged_) {
-    // No task is in flight (Run waits for completion), so closing is just
-    // flipping the flag; workers fall back to the condvar wait.
-    pool_.session_active_.store(false, std::memory_order_release);
-  }
-  delete static_cast<obs::ScopedTrace*>(span_);
+  if (claimed) Release();
 }
 
 int64_t ThreadPool::WorkChunks(const std::function<void(int64_t, int64_t)>& fn,
@@ -291,55 +181,78 @@ int64_t ThreadPool::WorkChunks(const std::function<void(int64_t, int64_t)>& fn,
     if (chunk >= num_chunks) break;
     const int64_t begin = chunk * grain;
     fn(begin, std::min(n, begin + grain));
-    if (pending_chunks_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last chunk of the region: wake the caller. Locking the mutex before
-      // notifying pairs with the caller's predicate check.
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_all();
-    }
   }
   return common::NowMicros() - started_us;
 }
 
-void ThreadPool::WorkerLoop(int lane) {
-  tls_worker_pool = this;
-  uint64_t seen_epoch = 0;
-  while (true) {
-    const std::function<void(int64_t, int64_t)>* fn = nullptr;
-    int64_t n = 0, grain = 1, chunks = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || session_active_.load(std::memory_order_relaxed) ||
-               (region_fn_ != nullptr && region_epoch_ != seen_epoch &&
-                next_chunk_.load(std::memory_order_relaxed) < region_chunks_);
-      });
-      if (stop_) return;
-      if (session_active_.load(std::memory_order_relaxed)) {
-        lock.unlock();
-        SessionWorkerLoop(lane);
-        continue;
-      }
-      // Woken for a session its owner closed (without the mutex) before
-      // this recheck: there may be no region to join at all.
-      if (region_fn_ == nullptr || region_epoch_ == seen_epoch) continue;
-      seen_epoch = region_epoch_;
-      fn = region_fn_;
-      n = region_n_;
-      grain = region_grain_;
-      chunks = region_chunks_;
-      ++active_workers_;
-    }
-    lane_busy_us_[static_cast<size_t>(lane)] =
+bool ThreadPool::JoinTask(uint64_t seq, int lane) {
+  // Seqlock snapshot of the task.
+  const std::function<void(int64_t, int64_t)>* fn =
+      task_fn_.load(std::memory_order_relaxed);
+  const int64_t n = task_n_.load(std::memory_order_relaxed);
+  const int64_t grain = task_grain_.load(std::memory_order_relaxed);
+  const int64_t chunks = task_chunks_.load(std::memory_order_relaxed);
+  // The recheck after the increment pairs with the owner's close bump and
+  // drain: either the owner waits for this worker, or this worker sees the
+  // task closed and never touches the cursor. A snapshot that passes the
+  // recheck is the open task's.
+  joined_.fetch_add(1, std::memory_order_seq_cst);
+  const bool open = task_seq_.load(std::memory_order_seq_cst) == seq;
+  if (open) {
+    lane_busy_us_[static_cast<size_t>(lane)] +=
         WorkChunks(*fn, n, grain, chunks);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--active_workers_ == 0 &&
-          pending_chunks_.load(std::memory_order_acquire) == 0) {
-        done_cv_.notify_all();
-      }
-    }
   }
+  // The last one out wakes an owner asleep in its drain; with no sleeper
+  // the notify is one load.
+  if (joined_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+    joined_.notify_all();
+  }
+  return open;
+}
+
+void ThreadPool::WorkerLoop(int lane) {
+  tls_chunk_pool = this;
+  uint64_t seen = 0;  // the last task this worker joined
+  while (true) {
+    const uint64_t seq = task_seq_.load(std::memory_order_acquire);
+    if ((seq & 1) != 0 && seq != seen) {
+      if (JoinTask(seq, lane)) seen = seq;
+      continue;
+    }
+    // Idle. Inside a Session the next region is microseconds away, so
+    // spin; outside one, sleep until a Session opens or a task does.
+    if (session_open_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    work_cv_.wait(lock, [&] {
+      const uint64_t next = task_seq_.load(std::memory_order_relaxed);
+      return stop_ || session_open_.load(std::memory_order_relaxed) ||
+             ((next & 1) != 0 && next != seen);
+    });
+    if (stop_) return;
+  }
+}
+
+Session::Session(ThreadPool& pool) : pool_(pool) {
+  if (pool.workers_.empty() || tls_chunk_pool == &pool || !pool.TryClaim()) {
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(pool.mutex_);
+    pool.session_open_.store(true, std::memory_order_relaxed);
+  }
+  pool.work_cv_.notify_all();
+  engaged_ = true;
+}
+
+Session::~Session() {
+  if (!engaged_) return;
+  // No task is open (every region drains before it returns); the workers
+  // go back to sleep once they see the flag down.
+  pool_.session_open_.store(false, std::memory_order_relaxed);
+  pool_.Release();
 }
 
 ThreadPool& CurrentPool() {

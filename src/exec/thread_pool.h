@@ -35,10 +35,19 @@ namespace o2sr::exec {
 //    count) defines the floating-point association, and the same chunking
 //    is used even when the region runs inline on one thread.
 //
-// Nested regions run inline: a ParallelFor issued from a worker thread of
-// the same pool executes serially on that worker (chunked identically), so
-// coarse-grained parallelism (e.g. bench seed replication) composes with
-// the parallel kernels underneath without deadlock or oversubscription.
+// One region protocol (DESIGN.md §8): a region reaches the workers only
+// through the pool's task slot, and only from the thread that owns the
+// pool. Ownership is one atomic claim, held by at most one thread:
+//  * an open Session holds it for a plan step and keeps the workers
+//    spinning between its regions;
+//  * any other multi-chunk region claims the pool for itself alone: it
+//    wakes the sleeping workers, sleeps until the ones that joined have
+//    left, and releases the claim.
+// A region issued from inside a chunk of the same pool (nested), or while
+// another thread owns the pool (contended), runs inline on the issuing
+// thread with the identical chunking. So coarse-grained parallelism (bench
+// seed replication) composes with the kernels underneath, and threads that
+// share a pool neither wait for each other nor deadlock.
 //
 // Observability: each pool registers one gauge under its metrics prefix
 // (default "exec.pool"), <prefix>.threads, the worker count (excluding the
@@ -133,23 +142,19 @@ class ThreadPool {
     return acc;
   }
 
-  // True when the calling thread is one of this pool's workers (such calls
-  // run regions inline).
-  bool InWorker() const;
-
  private:
   friend class Session;
+  // Claims the pool for the calling thread; false when any thread,
+  // this one included, already owns it.
+  bool TryClaim();
+  void Release();
   // `lane` is the worker's slot in the per-region busy accounting: the
   // calling thread is lane 0, workers are 1..num_threads-1.
   void WorkerLoop(int lane);
-  // Spin-then-yield loop a worker runs while a Session is open; returns
-  // when the session closes.
-  void SessionWorkerLoop(int lane);
-  // RunChunks body for the session fast path (no mutex/condvar handshake).
-  void SessionRunChunks(int64_t n, int64_t grain,
-                        const std::function<void(int64_t, int64_t)>& fn,
-                        const char* trace_name, const char* profile_name);
-  // Claims and runs chunks of the active region; returns busy microseconds.
+  // Joins the task opened at `seq` and runs chunks of it; false when the
+  // task closed before the worker got in.
+  bool JoinTask(uint64_t seq, int lane);
+  // Claims and runs chunks of the open task; returns busy microseconds.
   int64_t WorkChunks(const std::function<void(int64_t, int64_t)>& fn,
                      int64_t n, int64_t grain, int64_t num_chunks);
   void RunInline(int64_t n, int64_t grain,
@@ -158,65 +163,59 @@ class ThreadPool {
   const int num_threads_;
   obs::Gauge* threads_gauge_;
 
+  // The claim: the thread that owns the workers, or no thread (a
+  // default-constructed id).
+  std::atomic<std::thread::id> owner_{};
+
+  // The sleeping workers' wait predicate reads stop_, session_open_ and
+  // task_seq_ under mutex_. Every write that can turn it true (stop, a
+  // Session's open, a claimed region's task open) takes the mutex and then
+  // notifies. The lock-free writes only turn it false (a task's close, a
+  // Session's close) or come while an open Session already holds it true.
   std::mutex mutex_;
-  std::condition_variable work_cv_;  // workers wait for a region
-  std::condition_variable done_cv_;  // the caller waits for completion
+  std::condition_variable work_cv_;
   bool stop_ = false;
 
-  // The active region (one at a time; guarded by mutex_ except the atomics).
-  const std::function<void(int64_t, int64_t)>* region_fn_ = nullptr;
-  int64_t region_n_ = 0;
-  int64_t region_grain_ = 1;
-  int64_t region_chunks_ = 0;
-  std::atomic<int64_t> next_chunk_{0};
-  std::atomic<int64_t> pending_chunks_{0};
-  uint64_t region_epoch_ = 0;
-  int active_workers_ = 0;  // workers currently inside the region
-  // Per-lane busy time of the active region, for the profiler's busy/idle
-  // attribution. Lane 0 is the caller. Each slot is written by exactly one
-  // thread per region; the region's completion handshake (mutex + done_cv)
-  // orders those writes before the caller reads them.
+  // Per-lane busy time of the open task, for the profiler's busy/idle
+  // attribution. Lane 0 is the owner. The owner zeroes the slots before it
+  // opens a task, and it reads them after the joiners drained.
   std::vector<int64_t> lane_busy_us_;
 
-  // Persistent-session state (see Session below). While a session is open,
-  // workers spin in SessionWorkerLoop instead of sleeping on work_cv_, and
-  // regions issued by the owning thread publish tasks through these fields
-  // with a seqlock instead of the mutex/condvar handshake. All plain fields
-  // are written by the owner thread only, between tasks; workers validate
-  // their snapshot against session_seq_ before executing.
-  std::atomic<bool> session_active_{false};
-  std::atomic<uint64_t> session_seq_{0};
-  std::thread::id session_owner_{};
-  std::atomic<const std::function<void(int64_t, int64_t)>*> session_fn_{
+  // True while a Session holds the claim. Idle workers then spin-then-yield
+  // on the task slot; otherwise they sleep on work_cv_.
+  alignas(64) std::atomic<bool> session_open_{false};
+  // The task slot, a seqlock: an odd task_seq_ marks an open task. Only
+  // the owner writes the task fields, and only between tasks (after the
+  // previous task's joiners drained); a worker validates its snapshot
+  // against task_seq_ before it runs a chunk.
+  std::atomic<uint64_t> task_seq_{0};
+  std::atomic<const std::function<void(int64_t, int64_t)>*> task_fn_{
       nullptr};
-  std::atomic<int64_t> session_n_{0};
-  std::atomic<int64_t> session_grain_{1};
-  std::atomic<int64_t> session_chunks_{0};
-  std::atomic<int64_t> session_workers_{0};  // workers inside the task
+  std::atomic<int64_t> task_n_{0};
+  std::atomic<int64_t> task_grain_{1};
+  std::atomic<int64_t> task_chunks_{0};
+  // Workers inside the task. An int, so a claimed region's owner sleeps
+  // on it (atomic::wait) through a futex on this word.
+  std::atomic<int> joined_{0};
+  // The chunk cursor has a cache line of its own: every lane claims chunks
+  // from it during a task while the lanes that ran out spin on task_seq_.
+  alignas(64) std::atomic<int64_t> next_chunk_{0};
 
   std::vector<std::thread> workers_;
 };
 
-// Persistent parallel region ("one parallel region per step").
+// Persistent parallel region ("one parallel region per step"). A Session
+// holds the pool's claim for its lifetime and keeps the workers spinning
+// between regions, so the many small regions of a compiled nn::Plan step
+// pay one wake-up for the whole step instead of one per op. Regions from
+// other threads find the pool owned and run inline; the path never changes
+// a region's chunks, so results stay bit-identical.
 //
-// Opening a Session moves the pool's workers from the sleeping
-// condvar-wait into a spin-then-yield loop for the session's lifetime, so
-// a sequence of many small regions issued by the owning thread (a compiled
-// nn::Plan step, for example) pays one wake-up for the whole step instead
-// of a mutex/condvar fork-join per op. While the session is open, every
-// RunChunks/ParallelFor/ParallelReduce issued *by the owning thread* is
-// routed through the session's lock-free task queue automatically; regions
-// issued by other threads run inline (the workers are dedicated to the
-// session). Chunk boundaries and reduction order are identical to the
-// non-session path, so results stay bit-identical — the session changes
-// only how chunks reach the workers, never what the chunks are.
-//
-// Sessions do not nest: opening a session inside a session, from a worker,
-// or from inside a running region is a no-op (regions keep their normal
-// inline behavior there).
+// Sessions do not nest: a Session opened while any thread owns the pool, on
+// a single-lane pool, or from inside a chunk of the pool does not engage.
 class Session {
  public:
-  Session(ThreadPool& pool, const char* trace_name);
+  explicit Session(ThreadPool& pool);
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -226,7 +225,6 @@ class Session {
  private:
   ThreadPool& pool_;
   bool engaged_ = false;
-  void* span_ = nullptr;  // owned obs::ScopedTrace when trace_name given
 };
 
 // The pool the parallel kernels dispatch to: the innermost PoolScope on the

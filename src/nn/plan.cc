@@ -167,7 +167,7 @@ namespace detail {
 void RunPlanForward(const Plan& plan, std::vector<TapeNode>& nodes) {
   // One session per flushed segment: workers stay hot across every region
   // of the step instead of re-parking between ops.
-  exec::Session session(exec::CurrentPool(), nullptr);
+  exec::Session session(exec::CurrentPool());
   for (int id = plan.begin; id < plan.end; ++id) {
     const PlanStep& s = plan.steps[static_cast<size_t>(id - plan.begin)];
     switch (s.role) {
@@ -190,7 +190,7 @@ void RunPlanForward(const Plan& plan, std::vector<TapeNode>& nodes) {
 
 void RunPlanBackward(const std::vector<PlanStep>& steps,
                      std::vector<TapeNode>& nodes, int loss_id) {
-  exec::Session session(exec::CurrentPool(), nullptr);
+  exec::Session session(exec::CurrentPool());
   for (int id = loss_id; id >= 0; --id) {
     const PlanStep& s = steps[static_cast<size_t>(id)];
     switch (s.role) {

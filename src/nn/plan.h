@@ -18,8 +18,10 @@ namespace o2sr::nn {
 // them; the first value/grad/Backward access flushes the pending segment:
 // the segment's structural signature is looked up in the process-wide
 // PlanCache, compiled once into a Plan — a per-node schedule with fusion
-// groups — and executed inside one exec::Session so every parallel region
-// of the step reuses the same hot worker set.
+// groups — and executed inside one exec::Session. The session holds the
+// pool's claim for the step, so every parallel region of the step reaches
+// the same hot worker set through the task slot (DESIGN.md §8); on a pool
+// that another thread owns, the regions run inline with the same bits.
 //
 // Fusion rules (both patterns require consecutive node ids and
 // single-consumer intermediates, which keeps the order of

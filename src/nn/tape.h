@@ -29,10 +29,11 @@ struct Value {
 //           reference path.
 //   planned (default)       — ops are recorded unexecuted; the first
 //           value/grad/Backward access flushes the pending segment through
-//           a compiled Plan (PlanCache-memoized fusion + schedule, one
-//           exec::Session per step). Results are bit-identical to eager:
-//           both modes dispatch to the same kernels with the same
-//           accumulation orders; fusion only elides intermediates.
+//           a compiled Plan (PlanCache-memoized fusion + schedule, run
+//           under one exec::Session, a claim on the pool held for the
+//           step). Results are bit-identical to eager: both modes
+//           dispatch to the same kernels with the same accumulation
+//           orders; fusion only elides intermediates.
 //
 // Shape inference is part of the op descriptors, so rows()/cols() and all
 // record-time shape checks work in both modes without materializing values.

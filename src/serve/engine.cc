@@ -316,8 +316,6 @@ void ServingEngine::RecordOutcome(ServeTier tier) const {
     std::lock_guard<std::mutex> lock(health_mutex_);
     if (health_ == ServeHealth::kLameDuck) return;  // terminal
     if (tier != ServeTier::kFresh) {
-      degraded_responses_->Increment();
-      degraded_total_.fetch_add(1, std::memory_order_relaxed);
       fresh_streak_ = 0;
       if (health_ == ServeHealth::kServing) {
         health_ = ServeHealth::kDegraded;
@@ -358,7 +356,6 @@ common::StatusOr<RankResponse> ServingEngine::ShedRequest(
     EngineShard& shard, const char* reason, int64_t start_us,
     bool deadline_miss) const {
   shed_->Increment();
-  shed_total_.fetch_add(1, std::memory_order_relaxed);
   shard.counters.shed.fetch_add(1, std::memory_order_relaxed);
   obs::SloOutcome outcome;
   outcome.latency_ms = (common::NowMicros() - start_us) / 1e3;
@@ -397,7 +394,6 @@ common::StatusOr<std::vector<double>> ServingEngine::ScoreFresh(
     O2SR_ASSIGN_OR_RETURN(const std::vector<double> scores,
                           active.model->ServingPredict(misses));
     pairs_scored_->Increment(misses.size());
-    pairs_scored_total_.fetch_add(misses.size(), std::memory_order_relaxed);
     shard.counters.pairs_scored.fetch_add(misses.size(),
                                           std::memory_order_relaxed);
     for (size_t j = 0; j < misses.size(); ++j) {
@@ -463,8 +459,6 @@ common::Status ServingEngine::ScoreLadder(EngineShard& shard,
     auto scored = active.model->ServingPredict(misses);
     if (scored.ok()) {
       pairs_scored_->Increment(misses.size());
-      pairs_scored_total_.fetch_add(misses.size(),
-                                    std::memory_order_relaxed);
       shard.counters.pairs_scored.fetch_add(misses.size(),
                                             std::memory_order_relaxed);
       for (size_t j = 0; j < misses.size(); ++j) {
@@ -542,6 +536,7 @@ common::StatusOr<RankResponse> ServingEngine::RankAdmitted(
   }
   response.sites = RankFromScores(scratch->pairs, scratch->scores, request.k);
   if (response.tier != ServeTier::kFresh) {
+    degraded_responses_->Increment();
     shard.counters.degraded.fetch_add(1, std::memory_order_relaxed);
   }
   RecordOutcome(response.tier);
@@ -561,7 +556,6 @@ common::StatusOr<RankResponse> ServingEngine::Rank(
   const int64_t start_us = common::NowMicros();
   EngineShard& shard = ShardForThisThread();
   requests_->Increment();
-  requests_total_.fetch_add(1, std::memory_order_relaxed);
   shard.counters.requests.fetch_add(1, std::memory_order_relaxed);
   if (request.k < 0) {
     return common::InvalidArgumentError("Rank: k must be >= 0, got " +
@@ -605,7 +599,6 @@ std::vector<common::StatusOr<RankResponse>> ServingEngine::RankSitesBatch(
   for (const RankRequest& request : requests) {
     const int64_t start_us = common::NowMicros();
     requests_->Increment();
-    requests_total_.fetch_add(1, std::memory_order_relaxed);
     shard.counters.requests.fetch_add(1, std::memory_order_relaxed);
     if (request.k < 0) {
       out.emplace_back(common::InvalidArgumentError(

@@ -171,9 +171,10 @@ struct SwapReport {
 };
 
 // Counter snapshot of one front-end shard (or, via TotalShardStats, their
-// sum). The engine also keeps independent engine-global relaxed atomics
-// for requests/shed/pairs_scored/degraded; tests assert the per-shard sum
-// equals those globals under full concurrency.
+// sum). The shard blocks are the engine's own record of requests, shed
+// requests, pairs scored and degraded responses; the registry counters
+// under the metrics prefix count the same events, and tests assert that
+// the two agree under full concurrency.
 struct EngineShardStats {
   uint64_t requests = 0;
   uint64_t batches = 0;
@@ -303,19 +304,14 @@ class ServingEngine {
   ServeHealth health() const;
   uint64_t epoch() const;
   int64_t inflight() const { return admission_.inflight(); }
-  // Engine-global relaxed atomics, maintained independently of the
-  // per-shard blocks (concurrency tests assert the two agree).
-  uint64_t requests_count() const {
-    return requests_total_.load(std::memory_order_relaxed);
-  }
-  uint64_t shed_count() const {
-    return shed_total_.load(std::memory_order_relaxed);
-  }
+  // Sums over the per-shard counter blocks.
+  uint64_t requests_count() const { return TotalShardStats().requests; }
+  uint64_t shed_count() const { return TotalShardStats().shed; }
   uint64_t pairs_scored_count() const {
-    return pairs_scored_total_.load(std::memory_order_relaxed);
+    return TotalShardStats().pairs_scored;
   }
   uint64_t degraded_count() const {
-    return degraded_total_.load(std::memory_order_relaxed);
+    return TotalShardStats().degraded_responses;
   }
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -412,10 +408,6 @@ class ServingEngine {
   ServingOptions options_;
   std::vector<std::unique_ptr<EngineShard>> shards_;
   mutable AdmissionController admission_;
-  mutable std::atomic<uint64_t> requests_total_{0};
-  mutable std::atomic<uint64_t> shed_total_{0};
-  mutable std::atomic<uint64_t> pairs_scored_total_{0};
-  mutable std::atomic<uint64_t> degraded_total_{0};
 
   mutable std::mutex active_mutex_;
   std::shared_ptr<const Active> active_;

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,11 +159,53 @@ TEST(SessionTest, ManyShortSessionsNeitherCrashNorHang) {
   constexpr int64_t kChunks = 8;
   std::vector<int64_t> visits(kChunks, 0);
   for (int s = 0; s < kSessions; ++s) {
-    Session session(pool, nullptr);
+    Session session(pool);
     ASSERT_TRUE(session.engaged());
     pool.ParallelFor(kChunks, 1, [&](int64_t i) { ++visits[i]; });
   }
   for (int64_t v : visits) EXPECT_EQ(v, kSessions);
+}
+
+// Two threads that are not workers dispatch multi-chunk regions on one pool
+// at once. One of them at a time owns the workers; a region that finds the
+// pool owned runs inline on its own thread. Either way each region must
+// write every one of its elements exactly once. Run once with both threads
+// plain and once with one of them holding a Session over its whole loop.
+TEST(ThreadPoolTest, ConcurrentDispatchersEachRunTheirOwnRegions) {
+  ThreadPool pool(4, "exec.test_concurrent");
+  constexpr int kRegions = 20000;
+  constexpr int64_t kItems = 4096;
+  constexpr int64_t kGrain = 256;  // 16 chunks per region
+  for (const bool with_session : {false, true}) {
+    SCOPED_TRACE(with_session ? "one thread in a Session" : "both plain");
+    std::atomic<int> ready{0};
+    bool engaged = false;
+    int64_t wrong[2] = {0, 0};
+    auto dispatch = [&](int id) {
+      std::optional<Session> session;
+      if (with_session && id == 0) {
+        session.emplace(pool);
+        engaged = session->engaged();
+      }
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      std::vector<int32_t> writes(kItems, 0);
+      for (int r = 1; r <= kRegions; ++r) {
+        pool.ParallelFor(kItems, kGrain, [&](int64_t i) { ++writes[i]; });
+        for (int32_t& w : writes) {
+          if (w != r) ++wrong[id];
+          w = r;
+        }
+      }
+    };
+    std::thread first(dispatch, 0);
+    std::thread second(dispatch, 1);
+    first.join();
+    second.join();
+    EXPECT_EQ(engaged, with_session);
+    EXPECT_EQ(wrong[0], 0);
+    EXPECT_EQ(wrong[1], 0);
+  }
 }
 
 // A pool registers only its worker-count gauge; the profiler records its

@@ -5,8 +5,8 @@
 // replay must be bit-identical (regions and scores). That simultaneously
 // proves no torn reads, no cross-epoch mixing inside one response, and
 // that a response's reported epoch is the epoch that actually scored it.
-// The per-shard counter blocks must also sum exactly to the engine-global
-// relaxed atomics. Run under TSAN in CI (ci.sh).
+// The per-shard counter blocks must also sum exactly to the engine's
+// registry counters. Run under TSAN in CI (ci.sh).
 
 #include <atomic>
 #include <chrono>
@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
 
@@ -121,7 +122,10 @@ RankRequest StreamRequest(int thread, int iter) {
   return Request(type, std::move(candidates), 3);
 }
 
-void ExpectShardSumsMatchGlobals(const ServingEngine& engine) {
+// `engine` must have a metrics prefix of its own: the registry counters
+// under it then count exactly this engine's events.
+void ExpectShardSumsMatchRegistry(const ServingEngine& engine,
+                                  const std::string& prefix) {
   EngineShardStats summed;
   for (int s = 0; s < engine.num_shards(); ++s) {
     const EngineShardStats shard = engine.ShardStats(s);
@@ -142,12 +146,15 @@ void ExpectShardSumsMatchGlobals(const ServingEngine& engine) {
   EXPECT_EQ(summed.stale_pairs, total.stale_pairs);
   EXPECT_EQ(summed.prior_pairs, total.prior_pairs);
 
-  // The per-shard sum must agree exactly with the engine-global atomics
-  // maintained independently on the same hot path.
-  EXPECT_EQ(total.requests, engine.requests_count());
-  EXPECT_EQ(total.shed, engine.shed_count());
-  EXPECT_EQ(total.pairs_scored, engine.pairs_scored_count());
-  EXPECT_EQ(total.degraded_responses, engine.degraded_count());
+  // The per-shard sum must agree exactly with the registry counters
+  // bumped independently on the same hot path.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(total.requests, registry.GetCounter(prefix + ".requests")->value());
+  EXPECT_EQ(total.shed, registry.GetCounter(prefix + ".shed")->value());
+  EXPECT_EQ(total.pairs_scored,
+            registry.GetCounter(prefix + ".pairs_scored")->value());
+  EXPECT_EQ(total.degraded_responses,
+            registry.GetCounter(prefix + ".degraded_responses")->value());
 
   // And the aggregate cache view must match the shard-cache sum.
   const ScoreCache::Stats cache = engine.CacheStats();
@@ -181,6 +188,7 @@ TEST(ServeConcurrentTest, SwapStormRepliesBitIdenticalUnderConcurrency) {
   options.cache_capacity = 256;
   options.cache_shards = 4;
   options.num_shards = 4;
+  options.metrics_prefix = "serve_concurrent.storm";
   const auto engine = ServingEngine::Create(&base, options).value();
 
   // Pre-export one snapshot per scale the storm cycles through.
@@ -300,8 +308,8 @@ TEST(ServeConcurrentTest, SwapStormRepliesBitIdenticalUnderConcurrency) {
   EXPECT_GE(epochs_seen.size(), 2u);
   EXPECT_EQ(engine->epoch(), static_cast<uint64_t>(1 + kSwaps));
 
-  // Per-shard counter blocks sum exactly to the engine-global atomics.
-  ExpectShardSumsMatchGlobals(*engine);
+  // Per-shard counter blocks sum exactly to the registry counters.
+  ExpectShardSumsMatchRegistry(*engine, options.metrics_prefix);
   EXPECT_EQ(engine->requests_count(), replayed);
   EXPECT_EQ(engine->shed_count(), 0u);
   EXPECT_EQ(engine->degraded_count(), 0u);

@@ -13,6 +13,7 @@
 
 #include "common/fault.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "serve/engine.h"
 #include "serve/snapshot.h"
 
@@ -484,6 +485,50 @@ TEST_F(ResilienceTest, LameDuckShedsEveryNewRequest) {
   EXPECT_EQ(engine->shed_count(), 2u);
   // Terminal: a fresh-looking world does not resurrect it.
   EXPECT_EQ(engine->health(), ServeHealth::kLameDuck);
+}
+
+// A degraded response still in flight when the engine enters LAME_DUCK is
+// counted once, alike in the registry counter and in the shard blocks.
+TEST_F(ResilienceTest, DegradedResponseInFlightAtLameDuckIsCountedOnce) {
+  ScaledStub base(10, 1.0f);
+  ServingOptions options;
+  options.cache_capacity = 0;
+  options.metrics_prefix = "resilience.lame_duck_degraded";
+  core::InteractionList observed;
+  core::Interaction it;
+  it.region = 2;
+  it.type = 1;
+  it.orders = 8.0;
+  observed.push_back(it);
+  options.prior = BuildPopularityPrior(10, observed);
+  const auto engine = ServingEngine::Create(&base, options).value();
+
+  // The scorer stalls past the request's deadline, so the prior answers;
+  // the engine enters LAME_DUCK while the admitted request waits.
+  common::FaultInjector::ResetGlobalForTest("score=delay:300ms");
+  RankRequest request = Request(1, {2}, 1);
+  request.deadline = Deadline::AfterMs(50.0);
+  common::StatusOr<RankResponse> response =
+      common::InternalError("not served yet");
+  std::thread client([&] { response = engine->Rank(request); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine->inflight() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine->inflight(), 1);
+  engine->EnterLameDuck();
+  client.join();
+
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->tier, ServeTier::kPrior);
+  EXPECT_EQ(engine->health(), ServeHealth::kLameDuck);
+  EXPECT_EQ(engine->degraded_count(), 1u);
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetCounter(options.metrics_prefix + ".degraded_responses")
+                ->value(),
+            1u);
 }
 
 // --- Deadline edge cases ------------------------------------------------
